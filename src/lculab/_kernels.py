@@ -2,14 +2,10 @@
 
 Per-sample randomness is a counter hash: sample i of stream (seed, ids...)
 is a pure function of (seed, ids, i), so results are independent of chunking,
-trial order, and parallelism.  The pair-sampling accumulation loop is
-JIT-compiled with numba when available; set LCULAB_DISABLE_NUMBA=1 to force
-the pure-numpy fallback.
+trial order, and parallelism.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -20,13 +16,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / (1 << 53)
 
 CHUNK = 1 << 20
-
-USE_NUMBA = os.environ.get("LCULAB_DISABLE_NUMBA", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
 
 def _mix_scalar(z: int) -> int:
@@ -59,97 +48,38 @@ def counter_uniforms(key: int, start: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * _INV53
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_kernel(u, ou, cum, key1, key2, start, count):  # pragma: no cover
-        dim = u.shape[1]
-        m = cum.shape[0]
-        s = 0.0
-        cs = 0.0
-        s2 = 0.0
-        cs2 = 0.0
-        for i in range(count):
-            z = (np.uint64(key1) + np.uint64(start + i) * np.uint64(0x9E3779B97F4A7C15))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-            r1 = np.float64(z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-            z = (np.uint64(key2) + np.uint64(start + i) * np.uint64(0x9E3779B97F4A7C15))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-            r2 = np.float64(z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-            # inverse-cdf categorical draws
-            lo = 0
-            hi = m - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cum[mid] <= r1:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            j1 = lo
-            lo = 0
-            hi = m - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cum[mid] <= r2:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            j2 = lo
-            acc = 0.0
-            for d in range(dim):
-                acc += (ou[j1, d] * np.conj(u[j2, d])).real
-            # kahan accumulation of the value and its square
-            y = acc - cs
-            tt = s + y
-            cs = (tt - s) - y
-            s = tt
-            y2 = acc * acc - cs2
-            tt2 = s2 + y2
-            cs2 = (tt2 - s2) - y2
-            s2 = tt2
-        return s, s2
-
-def _pair_kernel_numpy(u, ou, cum, key1, key2, start, count):
-    r1 = counter_uniforms(key1, start, count)
-    r2 = counter_uniforms(key2, start, count)
-    j1 = np.searchsorted(cum, r1, side="right")
-    j2 = np.searchsorted(cum, r2, side="right")
-    np.clip(j1, 0, cum.shape[0] - 1, out=j1)
-    np.clip(j2, 0, cum.shape[0] - 1, out=j2)
-    vals = np.einsum("id,id->i", ou[j1], np.conj(u[j2])).real
-    return float(np.sum(vals)), float(np.sum(vals * vals))
-
-
-if not USE_NUMBA:
-    _pair_kernel = _pair_kernel_numpy
-
-
 def pair_accumulate(u: np.ndarray, ou: np.ndarray, probs: np.ndarray,
                     key1: int, key2: int, total: int,
-                    force_numpy: bool = False) -> tuple[float, float]:
-    """Sum and sum-of-squares of Re<psi0|V2^dag O V1|psi0> over `total`
+                    shot: tuple[int, float] | None = None,
+                    sink=None) -> tuple[float, float]:
+    """Sum and sum-of-squares of the per-sample values over `total`
     counter-indexed pair draws; u[j] = V_j psi0, ou[j] = O V_j psi0.
+
+    A sample's value is the interference value Re<psi0|V2^dag O V1|psi0>.
+    With `shot=(key, scale)` it is instead a single-ancilla measurement
+    outcome: +scale with probability (1+e)/2 for interference value e, drawn
+    from the counter stream `key`, else -scale; a value with |e| > 1 raises
+    ValueError.  `sink(start, j1, j2, values)` sees every chunk's draws and
+    the values that enter the sums.
 
     Chunked so memory stays flat; the chunk boundaries never change the
     draw at index i, so any chunk size gives the same sample set.
     """
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    key1 = np.uint64(key1)
-    key2 = np.uint64(key2)
     s = 0.0
     cs = 0.0
     s2 = 0.0
     cs2 = 0.0
     start = 0
-    kernel = _pair_kernel_numpy if force_numpy else _pair_kernel
     while start < total:
         count = min(CHUNK, total - start)
-        ps, ps2 = kernel(u, ou, cum, key1, key2, start, count)
+        j1, j2 = pair_draws(probs, key1, key2, start, count)
+        vals = np.einsum("id,id->i", ou[j1], np.conj(u[j2])).real
+        if shot is not None:
+            vals = _shots(vals, shot, start)
+        if sink is not None:
+            sink(start, j1, j2, vals)
+        ps = float(np.sum(vals))
+        ps2 = float(np.sum(vals * vals))
         y = ps - cs
         t = s + y
         cs = (t - s) - y
@@ -162,10 +92,21 @@ def pair_accumulate(u: np.ndarray, ou: np.ndarray, probs: np.ndarray,
     return s, s2
 
 
+def _shots(e: np.ndarray, shot: tuple[int, float], start: int) -> np.ndarray:
+    """+-scale outcomes of the ancilla measurement for interference
+    values e at counter indices [start, start+len(e))."""
+    key, scale = shot
+    bad = np.abs(e) > 1 + 1e-9
+    if bad.any():
+        raise ValueError(f"interference value {e[bad][0]} outside [-1,1]")
+    us = counter_uniforms(key, start, len(e))
+    return np.where(us < (1 + e) / 2, scale, -scale)
+
+
 def pair_draws(probs: np.ndarray, key1: int, key2: int,
                start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (j1, j2) index draws for samples [start, start+count) — the same
-    draws the accumulation kernel consumes, exposed for traces and tests."""
+    """The (j1, j2) index draws for samples [start, start+count): inverse-CDF
+    categorical draws from the counter streams key1 and key2."""
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     j1 = np.searchsorted(cum, counter_uniforms(key1, start, count), side="right")

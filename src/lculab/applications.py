@@ -33,7 +33,6 @@ from .lcu_decomp import (
     SegmentLcu,
     gaussian_lcu,
     inverse_lcu,
-    taylor_segment,
     taylor_truncation_order,
 )
 
@@ -128,7 +127,7 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
     gamma = epsilon / (6 * norm_o)
     x = t_tilde / r
     bigk = taylor_truncation_order(x, r, gamma)
-    seg = taylor_segment(h, t, r, bigk)
+    seg = SegmentLcu(h, t, r, bigk)
     sampler = ProductSampler(seg)
     flat = sampler.flatten(FLATTEN_CAP)
     lcu = PreparedProductLcu(flat, seg) if flat is not None else sampler

@@ -32,8 +32,7 @@ from .lcu_decomp import (
     realize,
 )
 
-RECORD_CAP = 100_000          # keep per-sample records only below this T
-ENUMERATED_STATE_CAP = 50_000_000   # max M * dim complex entries for the fast path
+ENUMERATED_STATE_CAP = 50_000_000   # max M * dim complex entries in a state batch
 
 # stream role ids for the counter hash
 _ROLE_V1 = 1
@@ -145,34 +144,38 @@ class PreparedLcu:
         self.tau_max = float(self.costs.max()) if len(self.costs) else 0.0
         self.avg_cost = float(self.probs @ self.costs)
         self.unit_normalized = False
-        self._batch_cache: dict[int, np.ndarray] = {}
+        self._batch_cache: tuple | None = None   # (psi0, rows)
 
     @property
     def n_terms(self) -> int:
         return self.decomp.n_terms
 
-    def states(self, psi0: StateVector) -> np.ndarray:
-        """Matrix with rows U_j |psi0> for every term."""
-        key = id(psi0)
-        if key in self._batch_cache:
-            return self._batch_cache[key]
+    def _batch(self, psi0: StateVector, rows) -> np.ndarray:
+        """rows(psi0), cached for the last state seen.  The cache holds psi0
+        itself and matches by identity, so a new state that reuses a freed
+        state's id never gets the freed state's rows."""
+        if self._batch_cache is not None and self._batch_cache[0] is psi0:
+            return self._batch_cache[1]
         if self.n_terms * psi0.dim > ENUMERATED_STATE_CAP:
             raise MemoryError("enumerated state batch too large")
+        u = rows(psi0)
+        self._batch_cache = (psi0, u)
+        return u
+
+    def states(self, psi0: StateVector) -> np.ndarray:
+        """Matrix with rows U_j |psi0> for every term."""
+        return self._batch(psi0, self._term_rows)
+
+    def _term_rows(self, psi0: StateVector) -> np.ndarray:
         if all(isinstance(u, TimeEvolution) for _, u in self.decomp.terms):
             from .core_algebra import PauliHamiltonian, ham_to_dense
             from .lcu_decomp import time_evolution_state_batch
             h = self.context
             if isinstance(h, PauliHamiltonian):
                 h = ham_to_dense(h)
-            u = time_evolution_state_batch(self.decomp, h, psi0)
-        else:
-            u = np.stack([realize(d, self.context).entries @ psi0.amplitudes
-                          for _, d in self.decomp.terms])
-        self._batch_cache = {key: u}
-        return u
-
-    def apply(self, j: int, psi0: StateVector) -> np.ndarray:
-        return self.states(psi0)[j]
+            return time_evolution_state_batch(self.decomp, h, psi0)
+        return np.stack([realize(d, self.context).entries @ psi0.amplitudes
+                         for _, d in self.decomp.terms])
 
 
 class ProductSampler:
@@ -253,13 +256,9 @@ class PreparedProductLcu(PreparedLcu):
         self.segment = segment
 
     def states(self, psi0: StateVector) -> np.ndarray:
-        key = id(psi0)
-        if key in self._batch_cache:
-            return self._batch_cache[key]
-        u = np.stack([_apply_descriptor(d, self.segment.h, psi0.amplitudes)
-                      for _, d in self.decomp.terms])
-        self._batch_cache = {key: u}
-        return u
+        return self._batch(psi0, lambda psi: np.stack(
+            [_apply_descriptor(d, self.segment.h, psi.amplitudes)
+             for _, d in self.decomp.terms]))
 
 
 class PerturbedLcu(PreparedLcu):
@@ -276,12 +275,8 @@ class PerturbedLcu(PreparedLcu):
         self.delta_u = delta_u
 
     def states(self, psi0: StateVector) -> np.ndarray:
-        key = id(psi0)
-        if key in self._batch_cache:
-            return self._batch_cache[key]
-        u = np.stack([m @ psi0.amplitudes for m in self._unitaries])
-        self._batch_cache = {key: u}
-        return u
+        return self._batch(psi0, lambda psi: np.stack(
+            [m @ psi.amplitudes for m in self._unitaries]))
 
 
 def prepare(lcu, context=None):
@@ -303,6 +298,14 @@ def observable_norm(o) -> float:
     raise TypeError("observable must be a DenseOperator or ObservableLcu")
 
 
+def _shot_scale(o: DenseOperator) -> float:
+    """|O| for a shot-mode observable, after checking that O^2 = I, so
+    every measurement outcome reads +-|O|."""
+    if spectral_norm(o.entries @ o.entries - np.eye(o.dim)) > 1e-9:
+        raise ValueError("shot mode needs an involutory (+-1 valued) observable")
+    return spectral_norm(o.entries)
+
+
 def _identity_like(dim: int) -> DenseOperator:
     return DenseOperator(np.eye(dim), hermitian=True, unitary=True)
 
@@ -317,6 +320,9 @@ def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
     mode) or a +-1 outcome (shot mode).
 
     `stream` is (master_seed, experiment, phase) for the counter hash.
+    Estimates call this only for implicit products and sampled observables;
+    for enumerated decompositions it is the per-sample reference that the
+    chunked kernel must reproduce.
     """
     prepared = prepare(lcu, context)
     seed, exp_id, phase = stream
@@ -357,10 +363,7 @@ def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
 
     value = float(np.real(np.vdot(psi2, obs.entries @ psi1)))
     if mode == "shot":
-        norm_oj = spectral_norm(obs.entries)
-        gram = obs.entries @ obs.entries
-        if spectral_norm(gram - np.eye(obs.dim)) > 1e-9:
-            raise ValueError("shot mode needs an involutory (+-1 valued) observable")
+        norm_oj = _shot_scale(obs)
         e = value
         if abs(e) > 1 + 1e-9:
             raise ValueError(f"interference value {e} outside [-1,1]")
@@ -380,39 +383,67 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
     """mu = (|c|_1^2 * scale / T) * sum of per-sample values.
 
     scale is |h|_1 when the observable itself is sampled term-by-term.
-    Returns (mu, records, stats) with stats = (mean, sample_std_of_values).
+    Returns (mu, records, stats) with stats = (mean, sample_std_of_values)
+    and records the per-sample SampleRecord list (None unless
+    collect_records).
+
+    An enumerated decomposition (PreparedLcu and its subclasses) with a
+    dense observable runs on the chunked counter-hash kernel in either mode.
+    Records are read off the same chunks, so a traced run reports the same
+    values as an untraced one.  Implicit products (ProductSampler) and
+    sampled observables (ObservableLcu) run `run_circuit_sample` once per
+    sample.
     """
     if t_reps < 1:
         raise ValueError("T must be >= 1")
     prepared = prepare(lcu, context)
-    seed = config.master_seed
-    scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
-
-    fast = (isinstance(prepared, PreparedLcu)
-            and isinstance(o, DenseOperator)
-            and config.mode == "expectation"
-            and not collect_records
-            and prepared.n_terms * psi0.dim <= ENUMERATED_STATE_CAP)
-    if fast:
-        key1 = _kernels.derive_key(seed, experiment, phase, _ROLE_V1)
-        key2 = _kernels.derive_key(seed, experiment, phase, _ROLE_V2)
-        u = prepared.states(psi0)
-        ou = u @ o.entries.T
-        s, s2 = _kernels.pair_accumulate(u, ou, prepared.probs, key1, key2, t_reps)
-        mean = s / t_reps
-        var = max(s2 / t_reps - mean * mean, 0.0)
-        mu = prepared.l1_norm ** 2 * scale * mean
-        return mu, None, (mean, math.sqrt(var))
-
-    # general path: per-sample loop (product samplers, observable sampling,
-    # shot mode, traced runs)
+    stream = (config.master_seed, experiment, phase)
     records = [] if collect_records else None
+    scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
+    if isinstance(prepared, PreparedLcu) and isinstance(o, DenseOperator):
+        s, s2 = _enumerated_sums(prepared, psi0, o, t_reps, config.mode,
+                                 stream, records)
+    else:
+        s, s2 = _per_sample_sums(prepared, psi0, o, t_reps, config.mode,
+                                 stream, context, records)
+    mean = s / t_reps
+    var = max(s2 / t_reps - mean * mean, 0.0)
+    mu = prepared.l1_norm ** 2 * scale * mean
+    return mu, records, (mean, math.sqrt(var))
+
+
+def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
+                     o: DenseOperator, t_reps: int, mode: str, stream,
+                     records: list | None) -> tuple[float, float]:
+    seed, exp_id, phase = stream
+    key1 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V1)
+    key2 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V2)
+    shot = None
+    if mode == "shot":
+        shot = (_kernels.derive_key(seed, exp_id, phase, _ROLE_SHOT),
+                _shot_scale(o))
+    sink = None
+    if records is not None:
+        costs = prepared.costs
+
+        def sink(start, j1, j2, values):
+            records.extend(map(SampleRecord, range(start, start + len(values)),
+                               zip(j1.tolist(), j2.tolist()), values.tolist(),
+                               (costs[j1] + costs[j2]).tolist()))
+
+    u = prepared.states(psi0)
+    ou = u @ o.entries.T
+    return _kernels.pair_accumulate(u, ou, prepared.probs, key1, key2, t_reps,
+                                    shot=shot, sink=sink)
+
+
+def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
+                     stream, context, records: list | None) -> tuple[float, float]:
     s = 0.0
     cs = 0.0
     s2 = 0.0
     for i in range(t_reps):
-        rec = run_circuit_sample(prepared, psi0, o, config.mode,
-                                 (seed, experiment, phase), index=i,
+        rec = run_circuit_sample(prepared, psi0, o, mode, stream, index=i,
                                  context=context)
         if records is not None:
             records.append(rec)
@@ -421,10 +452,7 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
         cs = (tt - s) - y
         s = tt
         s2 += rec.value * rec.value
-    mean = s / t_reps
-    var = max(s2 / t_reps - mean * mean, 0.0)
-    mu = prepared.l1_norm ** 2 * scale * mean
-    return mu, records, (mean, math.sqrt(var))
+    return s, s2
 
 
 def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,

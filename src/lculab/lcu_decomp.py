@@ -369,10 +369,6 @@ def taylor_truncation_order(x: float, r: int, gamma: float) -> int:
     return k
 
 
-def taylor_segment(h: PauliHamiltonian, t: float, r: int, bigk: int) -> SegmentLcu:
-    return SegmentLcu(h, t, r, bigk)
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev expansion of x^t
 
@@ -482,12 +478,3 @@ def gaussian_poly_eval(t: float, epsilon: float, x) -> np.ndarray | float:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = exp_poly_eval(coeffs, 1.0 - 2.0 * xs ** 2)
     return float(vals[0]) if scalar else vals
-
-
-# ---------------------------------------------------------------------------
-# decomposition summaries
-
-def decomposition_tau_max(decomp: LcuDecomposition) -> float:
-    from .estimator import CostModel
-    cm = CostModel()
-    return max((cm.cost(u) for _, u in decomp.terms), default=0.0)

@@ -179,10 +179,6 @@ def _e(n: int, i: int) -> np.ndarray:
     return v
 
 
-def build_walk(c: InterpolatedChain) -> WalkOperator:
-    return WalkOperator(c)
-
-
 def edge_zero_state(node_amplitudes: np.ndarray) -> StateVector:
     """|0>|psi> on the edge space (first register fixed to node 0)."""
     n = len(node_amplitudes)
@@ -237,15 +233,6 @@ def _power_support(t: int, d: int):
     return exps, c / c.sum()
 
 
-def pow_ham(t: int, d: int, w: WalkOperator, psi0: StateVector, rng) -> tuple[StateVector, int]:
-    """Apply one sampled walk power from the x^t Chebyshev mixture."""
-    t = int(round(t))
-    exps, probs = _power_support(t, d)
-    e = int(rng.choice(exps, p=probs))
-    vt = np.linalg.matrix_power(w.v.entries, e)
-    return StateVector(vt @ psi0.amplitudes), e
-
-
 def pow_ham_enumeration(t: int, d: int, w: WalkOperator, psi0: StateVector,
                         cache: "_PowerCache | None" = None):
     """All (probability, exponent, V^e psi0) branches of the mixture."""
@@ -254,16 +241,6 @@ def pow_ham_enumeration(t: int, d: int, w: WalkOperator, psi0: StateVector,
         cache = _PowerCache(w, psi0)
     return [(float(pr), int(e), cache.state(int(e)))
             for e, pr in zip(exps, probs)]
-
-
-def exp_ham(t: float, d: int, dprime: int, w: WalkOperator, psi0: StateVector,
-            rng) -> tuple[StateVector, int]:
-    """Truncated-Poisson outer draw, then one walk power from the inner
-    mixture; on average applies the polynomial proxy of e^{-t(I-D)}."""
-    weights = np.exp(_poisson_log_weights(t, d))
-    probs = weights / weights.sum()
-    ell = int(rng.choice(np.arange(d + 1), p=probs))
-    return pow_ham(ell, dprime, w, psi0, rng)
 
 
 def _poisson_log_weights(t: float, d: int) -> np.ndarray:
@@ -365,7 +342,7 @@ def _run_search(c: MarkovChain, marked, config: SearchConfig, rng, algo: int,
     if cache is not None and s in cache:
         pc = cache[s]
     else:
-        w = build_walk(InterpolatedChain(c, marked, s))
+        w = WalkOperator(InterpolatedChain(c, marked, s))
         pc = _PowerCache(w, edge_zero_state(sqrt_pi_u))
         if cache is not None:
             cache[s] = pc
@@ -470,7 +447,7 @@ def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,
     walk_total = 0.0
     for r in r_set:
         s = 1.0 - 1.0 / r
-        w = build_walk(InterpolatedChain(lazy_c, marked, s))
+        w = WalkOperator(InterpolatedChain(lazy_c, marked, s))
         psi = edge_zero_state(sqrt_pi_u)
         cache = _PowerCache(w, psi)
         # marked-node weight of V^e |0>|sqrt(pi_U)> for every exponent
@@ -520,7 +497,7 @@ def theorem1_slack(c: MarkovChain, marked, config: SearchConfig, algo: int) -> f
     for r in r_set:
         s = 1.0 - 1.0 / r
         ic = InterpolatedChain(lazy_c, marked, s)
-        w = build_walk(ic)
+        w = WalkOperator(ic)
         psi = edge_zero_state(sqrt_pi_u)
         if algo == 1:
             branches = pow_ham_enumeration(t, d, w, psi)

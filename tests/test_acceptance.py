@@ -47,8 +47,8 @@ from lculab.lcu_decomp import (
 from lculab.walks import (
     InterpolatedChain,
     SearchConfig,
+    WalkOperator,
     build_hp,
-    build_walk,
     chain_from_matrix,
     chebyshev_block_check,
     cycle_chain,
@@ -291,7 +291,7 @@ def test_criterion_13_sampling_projection_bound():
                                    reversible=True))
         marked = [int(rng.integers(0, n))]
         ic = InterpolatedChain(c, frozenset(marked), 0.5)
-        w = build_walk(ic)
+        w = WalkOperator(ic)
         pu = np.delete(np.arange(n), marked)
         amps = np.zeros(n)
         amps[pu] = np.sqrt(c.pi[pu] / c.pi[pu].sum())
@@ -321,7 +321,7 @@ def test_criterion_13_sampling_projection_bound():
 
 def test_criterion_14_walk_identities():
     c = lazy(cycle_chain(8))
-    w = build_walk(InterpolatedChain(c, frozenset({0}), 0.5))
+    w = WalkOperator(InterpolatedChain(c, frozenset({0}), 0.5))
     ud = w.u_d.entries
     assert np.linalg.norm(ud @ ud - np.eye(64), 2) <= 1e-12
     for t in range(8):

@@ -21,6 +21,9 @@ from lculab.estimator import (
     CostModel,
     EstimatorConfig,
     NormUnderflowError,
+    PerturbedLcu,
+    PreparedProductLcu,
+    ProductSampler,
     cost_summary,
     expectation_observable,
     perturb_unitary,
@@ -33,9 +36,11 @@ from lculab.lcu_decomp import (
     Identity,
     LcuDecomposition,
     PauliProductRotation,
+    SegmentLcu,
     TimeEvolution,
     WalkPower,
     gaussian_lcu,
+    inverse_lcu,
     realize,
 )
 
@@ -226,6 +231,116 @@ class TestExpectationObservable:
         mu_e, _, _ = expectation_observable(dec, psi0, o, 1, cfg_e, context=h)
         mu_s, _, _ = expectation_observable(dec, psi0, o, n, cfg_s, context=h)
         assert abs(mu_s - mu_e) <= 4 / math.sqrt(n)
+
+
+def _enumerated_case(kind):
+    """(prepared decomposition, psi0, involutory observable) for each kind
+    of enumerated decomposition the chunked kernel runs."""
+    z = DenseOperator(Z, hermitian=True, unitary=True)
+    h = ham_to_dense(parse_pauli_text("0.5*Z+0.3*X"))
+    if kind == "gaussian":
+        return prepare(gaussian_lcu(4.0, 1e-2), h), plus_state(1), z
+    if kind == "inverse":
+        h2 = ham_to_dense(parse_pauli_text("0.75*ZZ+0.25*XX"))
+        o = ham_to_dense(parse_pauli_text("1.0*ZI"))
+        return prepare(inverse_lcu(2.0, 5e-2), h2), basis_state(2, 1), o
+    if kind == "product":
+        seg = SegmentLcu(parse_pauli_text("0.3*X+0.4*Z"), 1.0, 1, 4)
+        flat = ProductSampler(seg).flatten()
+        return PreparedProductLcu(flat, seg), basis_state(1, 0), z
+    pert = PerturbedLcu(_two_term_lcu(), h, 0.05, make_rng(0, 99))
+    return pert, plus_state(1), DenseOperator(X, hermitian=True, unitary=True)
+
+
+ENUMERATED_KINDS = ("gaussian", "inverse", "product", "perturbed")
+
+
+class TestEnumeratedKernel:
+    """The chunked kernel against run_circuit_sample, the per-sample
+    reference."""
+
+    def _run(self, kind, mode, t_reps=400, seed=17):
+        prepared, psi0, o = _enumerated_case(kind)
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode=mode,
+                              master_seed=seed)
+        out = expectation_observable(prepared, psi0, o, t_reps, cfg,
+                                     collect_records=True)
+        ref = [run_circuit_sample(prepared, psi0, o, mode, (seed, 0, 0),
+                                  index=i) for i in range(t_reps)]
+        return out, ref
+
+    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
+    def test_trace_rows_match_reference(self, kind):
+        (_, recs, _), ref = self._run(kind, "expectation")
+        assert [r.index for r in recs] == list(range(len(ref)))
+        assert [r.term_ids for r in recs] == [r.term_ids for r in ref]
+        assert [r.cost for r in recs] == [r.cost for r in ref]
+        assert np.allclose([r.value for r in recs], [r.value for r in ref],
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
+    def test_shot_values_match_reference(self, kind):
+        (_, recs, _), ref = self._run(kind, "shot")
+        assert [r.term_ids for r in recs] == [r.term_ids for r in ref]
+        assert [r.value for r in recs] == [r.value for r in ref]
+        assert len({r.value for r in recs}) == 2
+
+    @pytest.mark.parametrize("mode", ("expectation", "shot"))
+    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
+    def test_records_change_no_estimate(self, kind, mode):
+        prepared, psi0, o = _enumerated_case(kind)
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode=mode,
+                              master_seed=4)
+        mu_a, recs_a, stats_a = expectation_observable(prepared, psi0, o,
+                                                       3000, cfg)
+        mu_b, recs_b, stats_b = expectation_observable(
+            prepared, psi0, o, 3000, cfg, collect_records=True)
+        assert recs_a is None and len(recs_b) == 3000
+        assert (mu_a, stats_a) == (mu_b, stats_b)
+
+    def test_shot_rejects_non_involutory_observable(self):
+        prepared, psi0, _ = _enumerated_case("gaussian")
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode="shot")
+        with pytest.raises(ValueError, match="involutory"):
+            expectation_observable(prepared, psi0,
+                                   DenseOperator(0.5 * Z, hermitian=True),
+                                   10, cfg)
+
+    def test_shot_rejects_interference_value_out_of_range(self):
+        # an unnormalized input state gives e = <psi0|Z|psi0> = 4
+        psi0 = StateVector(np.array([2.0, 0.0]), normalized=False)
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode="shot")
+        with pytest.raises(ValueError, match="outside"):
+            expectation_observable(_identity_lcu(), psi0,
+                                   DenseOperator(Z, hermitian=True), 10, cfg,
+                                   context=DenseOperator(Z, hermitian=True))
+
+
+class TestStateBatchCache:
+    def test_new_state_never_gets_a_freed_states_rows(self):
+        # CPython hands a freed object's id to a later allocation; a cache
+        # keyed on the id alone would return the freed state's rows
+        h = ham_to_dense(parse_pauli_text("0.5*Z+0.3*X"))
+        prepared = prepare(_two_term_lcu(), h)
+        psi = basis_state(1, 0)
+        prepared.states(psi)
+        freed = id(psi)
+        del psi
+        alive = []
+        for k in range(1, 1000):
+            fresh = StateVector(np.array([math.cos(0.01 * k),
+                                          math.sin(0.01 * k)]))
+            if id(fresh) == freed:
+                break
+            alive.append(fresh)
+        expected = np.stack([realize(u, h).entries @ fresh.amplitudes
+                             for _, u in _two_term_lcu().terms])
+        assert np.allclose(prepared.states(fresh), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
+    def test_same_state_reuses_rows(self, kind):
+        prepared, psi0, _ = _enumerated_case(kind)
+        assert prepared.states(psi0) is prepared.states(psi0)
 
 
 class TestSingleAncillaLcu:

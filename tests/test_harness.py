@@ -200,7 +200,24 @@ class TestSweep:
             run_sweep(cfg)
 
 
+GSP_FLAGS = {"hamiltonian": "0.5*II-0.5*ZZ+0.1*XI", "gap": "1.0",
+             "eta": "0.7", "e0": "-0.0099", "eg": "0.01", "state": "basis:0",
+             "observable": "1.0*ZI", "repetitions": "2000"}
+
+
 class TestTrace:
+    @pytest.mark.parametrize("sub,flags", [
+        ("gsp", GSP_FLAGS),
+        ("gsp", {**GSP_FLAGS, "mode": "shot", "repetitions": "200"}),
+        ("hamsim", HAMSIM_FLAGS),
+        ("hamsim", {**HAMSIM_FLAGS, "mode": "shot"}),
+    ])
+    def test_trace_changes_no_reported_value(self, sub, flags):
+        plain = run(parse_config(sub, dict(flags))).results
+        traced = run(parse_config(sub, {**flags, "trace": True})).results
+        assert traced.pop("trace_rows") == int(flags["repetitions"])
+        assert traced == plain
+
     def test_trace_rows_match_repetitions(self):
         cfg = parse_config("hamsim", {**HAMSIM_FLAGS, "trace": True,
                                       "repetitions": "50"})

@@ -74,15 +74,6 @@ class TestPairKernel:
         assert full[0] == pytest.approx(chunked[0], rel=1e-13, abs=1e-12)
         assert full[1] == pytest.approx(chunked[1], rel=1e-13)
 
-    def test_numba_and_numpy_paths_identical(self, case):
-        u, ou, probs = case
-        k1, k2 = derive_key(9, 0, 0, 1), derive_key(9, 0, 0, 2)
-        a = pair_accumulate(u, ou, probs, k1, k2, 20000)
-        b = pair_accumulate(u, ou, probs, k1, k2, 20000, force_numpy=True)
-        # identical draws; only the accumulation rounding may differ
-        assert a[0] == pytest.approx(b[0], rel=1e-13, abs=1e-12)
-        assert a[1] == pytest.approx(b[1], rel=1e-13)
-
     def test_matches_explicit_draws(self, case):
         u, ou, probs = case
         k1, k2 = derive_key(11, 0, 0, 1), derive_key(11, 0, 0, 2)
@@ -92,6 +83,38 @@ class TestPairKernel:
         vals = np.einsum("id,id->i", ou[j1], np.conj(u[j2])).real
         assert s == pytest.approx(float(vals.sum()), abs=1e-9)
         assert s2 == pytest.approx(float((vals * vals).sum()), abs=1e-9)
+
+    def test_sink_sees_every_chunk(self, case):
+        u, ou, probs = case
+        k1, k2 = derive_key(13, 0, 0, 1), derive_key(13, 0, 0, 2)
+        seen = []
+        saved = _kernels.CHUNK
+        try:
+            _kernels.CHUNK = 777
+            s, s2 = pair_accumulate(u, ou, probs, k1, k2, 3000,
+                                    sink=lambda *chunk: seen.append(chunk))
+        finally:
+            _kernels.CHUNK = saved
+        assert [c[0] for c in seen] == list(range(0, 3000, 777))
+        j1, j2 = pair_draws(probs, k1, k2, 0, 3000)
+        assert np.array_equal(np.concatenate([c[1] for c in seen]), j1)
+        assert np.array_equal(np.concatenate([c[2] for c in seen]), j2)
+        vals = np.concatenate([c[3] for c in seen])
+        assert s == pytest.approx(float(vals.sum()), abs=1e-9)
+        assert s2 == pytest.approx(float((vals * vals).sum()), abs=1e-9)
+
+    def test_shot_outcomes(self, case):
+        u, _, probs = case
+        k1, k2, ks = (derive_key(14, 0, 0, r) for r in (1, 2, 3))
+        seen = []
+        pair_accumulate(u, u, probs, k1, k2, 3000, shot=(ks, 2.0),
+                        sink=lambda *chunk: seen.append(chunk))
+        _, j1, j2, vals = seen[0]
+        e = np.einsum("id,id->i", u[j1], np.conj(u[j2])).real
+        us = counter_uniforms(ks, 0, 3000)
+        assert np.array_equal(vals, np.where(us < (1 + e) / 2, 2.0, -2.0))
+        with pytest.raises(ValueError, match="outside"):
+            pair_accumulate(u, 3 * u, probs, k1, k2, 3000, shot=(ks, 1.0))
 
     def test_draw_frequencies(self, case):
         u, ou, probs = case

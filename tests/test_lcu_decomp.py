@@ -15,6 +15,7 @@ from lculab.core_algebra import (
 from lculab.lcu_decomp import (
     Identity,
     LcuDecomposition,
+    SegmentLcu,
     TimeEvolution,
     WalkPower,
     chebyshev_power_coeffs,
@@ -27,7 +28,6 @@ from lculab.lcu_decomp import (
     realize,
     realized_sum,
     scalar_function,
-    taylor_segment,
     taylor_truncation_order,
 )
 
@@ -107,18 +107,18 @@ class TestInverseLcu:
 class TestTaylorSegment:
     def test_k0_weight(self):
         h = parse_pauli_text("0.3*X+0.4*Z")
-        seg = taylor_segment(h, 1.0, 1, 8)
+        seg = SegmentLcu(h, 1.0, 1, 8)
         x = 0.7
         assert seg.k_weights[0] == pytest.approx(math.sqrt(1 + x ** 2))
 
     def test_l1_bound(self):
         h = parse_pauli_text("0.3*X+0.4*Z")
-        seg = taylor_segment(h, 1.0, 1, 8)
+        seg = SegmentLcu(h, 1.0, 1, 8)
         assert seg.l1_norm <= math.exp(seg.x ** 2)
 
     def test_exhaustive_realization(self):
         h = parse_pauli_text("0.3*X+0.4*Z")
-        seg = taylor_segment(h, 1.0, 1, 8)
+        seg = SegmentLcu(h, 1.0, 1, 8)
         from lculab.core_algebra import ham_to_dense
         hd = ham_to_dense(h)
         acc = np.zeros((2, 2), dtype=complex)

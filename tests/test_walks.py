@@ -12,7 +12,6 @@ from lculab.walks import (
     SearchConfig,
     WalkOperator,
     build_hp,
-    build_walk,
     chain_from_edgelist,
     chain_from_matrix,
     chebyshev_block_check,
@@ -142,7 +141,7 @@ class TestDiscriminantAndHitting:
 @pytest.fixture(scope="module")
 def walk_c4():
     c = lazy(cycle_chain(4))
-    return build_walk(InterpolatedChain(c, frozenset({0}), 0.5))
+    return WalkOperator(InterpolatedChain(c, frozenset({0}), 0.5))
 
 
 class TestWalkOperator:
@@ -167,7 +166,7 @@ class TestWalkOperator:
 
     def test_ud_block_lazy_two_cycle(self):
         c = lazy(_two_cycle())
-        w = build_walk(InterpolatedChain(c, frozenset({0}), 0.0))
+        w = WalkOperator(InterpolatedChain(c, frozenset({0}), 0.0))
         assert np.allclose(w.block(w.u_d.entries),
                            [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
@@ -249,7 +248,7 @@ class TestPolynomialMixtures:
         c = lazy(cycle_chain(8))
         marked = [0]
         ic = InterpolatedChain(c, frozenset(marked), 0.5)
-        w = build_walk(ic)
+        w = WalkOperator(ic)
         pi_u = np.sqrt(np.delete(c.pi, marked)
                        / np.delete(c.pi, marked).sum())
         amps = np.zeros(c.n)

@@ -246,11 +246,6 @@ def analog_gsp(p: GspProblem, epsilon: float, n_points: int = LINE_N) -> dict:
             "grid": {"kind": "line", "n": n_points * 2, "z_max": z_max * 1.25}}
 
 
-def _qls_checks(p: QlsProblem):
-    hd = ham_to_dense(p.hamiltonian)
-    return hd
-
-
 def analog_qls_ring(p: QlsProblem, epsilon: float,
                     n_points: int = TWO_ANCILLA_N) -> dict:
     """Inverse component via the oscillator/ring pair: prepare the first
@@ -258,7 +253,7 @@ def analog_qls_ring(p: QlsProblem, epsilon: float,
     H (x) y (x) z for T = kappa*sqrt(2 log(kappa/eps)), project the
     oscillator onto its ground state and the ring onto flat, and rotate the
     global phase by i.  The surviving system component is H^{-1}|b>/T."""
-    hd = _qls_checks(p)
+    hd = ham_to_dense(p.hamiltonian)
     bigT = p.kappa * math.sqrt(2 * math.log(p.kappa / epsilon))
     z_max = _line_zmax(epsilon)
     oracle = np.linalg.solve(hd.entries, p.b_state.amplitudes) / bigT
@@ -286,7 +281,7 @@ def analog_qls_gaussian(p: QlsProblem, epsilon: float,
                         n_points: int = TWO_ANCILLA_N) -> dict:
     """Inverse component for positive spectra via two Gaussian ancillas:
     the projected component realizes (1/T) * 1/sqrt(H^2 + 1/T^2)."""
-    hd = _qls_checks(p)
+    hd = ham_to_dense(p.hamiltonian)
     evals = np.linalg.eigvalsh(hd.entries)
     if np.any(evals <= 0):
         raise ValueError("gaussian inverse requires a positive spectrum")

@@ -16,7 +16,9 @@ from .harness import (
     EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_PRECONDITION,
+    _SUBCOMMAND_KEYS,
     ConfigError,
+    config_schema,
     parse_config,
     run_sweep,
     run_with_records,
@@ -24,91 +26,52 @@ from .harness import (
     trace_csv,
 )
 
-_GLOBAL_FLAGS = {
-    "seed": dict(type=int, help="master seed"),
-    "eps": dict(type=float, help="target accuracy"),
-    "delta": dict(type=float, help="failure probability"),
+# help text and choices, one entry per config key; which subcommand takes
+# which key, and each key's type, come from the harness schema
+_FLAG_DOCS = {
+    "seed": dict(help="master seed"),
+    "eps": dict(help="target accuracy"),
+    "delta": dict(help="failure probability"),
     "mode": dict(choices=["shot", "expectation"], help="sampling mode"),
-    "out": dict(type=str, help="write the JSON report here"),
-    "config": dict(type=str, help="flat key=value config file"),
-}
-
-_SUB_FLAGS = {
-    "hamsim": {
-        "hamiltonian": dict(type=str, help="Pauli text, e.g. 0.3*X+0.4*Z"),
-        "t": dict(type=float, help="evolution time"),
-        "observable": dict(type=str, help="observable as Pauli text"),
-        "state": dict(type=str, help="zero|plus|basis:<i>|amps:<...>"),
-        "repetitions": dict(type=int, help="override the repetition count"),
-    },
-    "gsp": {
-        "hamiltonian": dict(type=str), "observable": dict(type=str),
-        "gap": dict(type=float, help="spectral gap lower bound"),
-        "eta": dict(type=float, help="ground-state overlap lower bound"),
-        "e0": dict(type=float, help="ground energy estimate"),
-        "eg": dict(type=float, help="ground energy precision"),
-        "state": dict(type=str), "repetitions": dict(type=int),
-        "unitary_error": dict(type=float,
-                              help="perturb every sampled unitary this much"),
-    },
-    "qls": {
-        "hamiltonian": dict(type=str), "observable": dict(type=str),
-        "kappa": dict(type=float, help="condition number"),
-        "b_state": dict(type=str), "repetitions": dict(type=int),
-    },
-    "analog-gsp": {
-        "hamiltonian": dict(type=str), "gap": dict(type=float),
-        "eta": dict(type=float), "e0": dict(type=float),
-        "eg": dict(type=float), "state": dict(type=str),
-    },
-    "analog-qls": {
-        "hamiltonian": dict(type=str), "kappa": dict(type=float),
-        "b_state": dict(type=str),
-        "ancilla": dict(choices=["ring", "gaussian"]),
-    },
-    "walks-search": {
-        "graph": dict(type=str, help="cycle:N|complete:N|file:<edgelist>"),
-        "marked": dict(type=str, help="comma-separated node ids"),
-        "algo": dict(type=int, choices=[1, 2]),
-        "trials": dict(type=int), "c_t": dict(type=float),
-    },
-    "decomp-check": {
-        "kind": dict(choices=["gaussian", "inverse"]),
-        "t": dict(type=float), "gamma": dict(type=float),
-        "kappa": dict(type=float),
-        "hamiltonian": dict(type=str,
-                            help="optional: also check the dense operator"),
-    },
-    "sweep": {
-        "base": dict(type=str, help="subcommand to sweep"),
-        "axis": dict(type=str, help="parameter to vary"),
-        "values": dict(type=str, help="comma-separated axis values"),
-    },
+    "out": dict(help="write the JSON report here"),
+    "trace": dict(help="emit a per-sample CSV next to the report"),
+    "config": dict(help="flat key=value config file"),
+    "hamiltonian": dict(help="Pauli text, e.g. 0.3*X+0.4*Z "
+                             "(decomp-check: optional dense check)"),
+    "t": dict(help="evolution time"),
+    "observable": dict(help="observable as Pauli text"),
+    "state": dict(help="zero|plus|basis:<i>|amps:<...>"),
+    "repetitions": dict(help="override the repetition count"),
+    "gap": dict(help="spectral gap lower bound"),
+    "eta": dict(help="ground-state overlap lower bound"),
+    "e0": dict(help="ground energy estimate"),
+    "eg": dict(help="ground energy precision"),
+    "unitary_error": dict(help="perturb every sampled unitary this much"),
+    "kappa": dict(help="condition number"),
+    "b_state": dict(help="right-hand side state, as --state"),
+    "ancilla": dict(choices=["ring", "gaussian"]),
+    "graph": dict(help="cycle:N|complete:N|file:<edgelist>"),
+    "marked": dict(help="comma-separated node ids"),
+    "algo": dict(choices=[1, 2]),
+    "trials": dict(help="number of search trials"),
+    "c_t": dict(help="multiplier on the hitting time for T"),
+    "kind": dict(choices=["gaussian", "inverse"]),
+    "gamma": dict(help="target sup error of the decomposition"),
+    "base": dict(help="subcommand to sweep"),
+    "axis": dict(help="parameter to vary"),
+    "values": dict(help="comma-separated axis values"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lculab")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, flags in _SUB_FLAGS.items():
+    for name in _SUBCOMMAND_KEYS:
         sp = subs.add_parser(name)
-        for flag, kw in _GLOBAL_FLAGS.items():
-            sp.add_argument(f"--{flag}", default=None, **kw)
-        sp.add_argument("--trace", action="store_true", default=None,
-                        help="emit a per-sample CSV next to the report")
-        for flag, kw in flags.items():
-            sp.add_argument(f"--{flag.replace('_', '-')}",
-                            dest=flag, default=None, **kw)
-        # sweep also carries the base subcommand's parameters
-        if name == "sweep":
-            seen = {"base", "axis", "values"}
-            for base_flags in _SUB_FLAGS.values():
-                for flag, kw in base_flags.items():
-                    if flag in seen:
-                        continue
-                    seen.add(flag)
-                    sp.add_argument(f"--{flag.replace('_', '-')}",
-                                    dest=flag, default=None, **kw)
+        for key, kind in config_schema(name).items():
+            kw = dict(action="store_true") if kind is bool else dict(type=kind)
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                            default=None, **kw, **_FLAG_DOCS[key])
     return parser
 
 

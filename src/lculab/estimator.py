@@ -248,10 +248,6 @@ class PreparedProductLcu(PreparedLcu):
 
     def __init__(self, decomp: LcuDecomposition, segment: SegmentLcu):
         super().__init__(decomp, segment.h)
-        cm = CostModel()
-        self.costs = np.array([cm.cost(list(u.factors)) for _, u in decomp.terms])
-        self.tau_max = float(self.costs.max())
-        self.avg_cost = float(self.probs @ self.costs)
         self.unit_normalized = True
         self.segment = segment
 

@@ -47,11 +47,10 @@ from .lcu_decomp import (
 )
 from .walks import (
     SearchConfig,
+    _SearchSchedule,
     chain_from_edgelist,
     complete_chain,
     cycle_chain,
-    hitting_time,
-    lazy,
     predicted_search_success,
     run_search_trials,
     theorem1_slack,
@@ -169,21 +168,27 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+def config_schema(subcommand: str) -> dict[str, type]:
+    """Keys and types a subcommand accepts.  A sweep accepts every base
+    subcommand's keys; each sweep point re-validates against its base."""
+    schema = {**_COMMON_KEYS, **_SUBCOMMAND_KEYS[subcommand]}
+    if subcommand == "sweep":
+        for keys in _SUBCOMMAND_KEYS.values():
+            for k, t in keys.items():
+                schema.setdefault(k, t)
+    return schema
+
+
 def parse_config(subcommand: str, flag_params: dict,
                  config_file: str | None = None) -> ExperimentConfig:
     """Merge defaults, config-file entries, and flags (in that order of
     increasing precedence), rejecting unknown keys and bad types."""
     if subcommand not in _SUBCOMMAND_KEYS:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
-    schema = {**_COMMON_KEYS, **_SUBCOMMAND_KEYS[subcommand]}
     # defaults fill in only the subcommand's own keys
-    merged: dict = {k: v for k, v in _DEFAULTS.items() if k in schema}
-    if subcommand == "sweep":
-        # accept every base subcommand's keys here; each sweep point
-        # re-validates against the actual base schema
-        for keys in _SUBCOMMAND_KEYS.values():
-            for k, t in keys.items():
-                schema.setdefault(k, t)
+    merged: dict = {k: v for k, v in _DEFAULTS.items()
+                    if k in _COMMON_KEYS or k in _SUBCOMMAND_KEYS[subcommand]}
+    schema = config_schema(subcommand)
     if config_file is not None:
         for key, value in read_config_file(config_file).items():
             if key not in schema:
@@ -449,14 +454,12 @@ def _run_walks_search(p: dict) -> dict:
     if algo not in (1, 2):
         raise ConfigError("algo must be 1 or 2")
     scfg = SearchConfig(c_t=p["c_t"], master_seed=p["seed"])
-    lazy_c = lazy(chain)
-    ht = hitting_time(lazy_c, marked)
-    big_t = max(scfg.c_t * ht, 2.0)
+    sch = _SearchSchedule(chain, marked, scfg, algo)
     outcomes = run_search_trials(chain, marked, scfg, p["trials"], algo)
     emp = sum(o.found for o in outcomes) / len(outcomes)
     oracle = predicted_search_success(chain, marked, scfg, algo)
     slack = theorem1_slack(chain, marked, scfg, algo)
-    return {"HT": ht, "T": big_t, "empirical_success": emp,
+    return {"HT": sch.ht, "T": sch.big_t, "empirical_success": emp,
             "oracle_success": oracle, "theorem1_slack": slack,
             "trials": p["trials"], "algo": algo}
 
@@ -558,7 +561,7 @@ def trace_csv(records) -> str:
 
 
 def _parse_axis_value(base: str, axis: str, text: str):
-    schema = {**_COMMON_KEYS, **_SUBCOMMAND_KEYS[base]}
+    schema = config_schema(base)
     if axis not in schema:
         raise ConfigError(f"unknown sweep axis '{axis}' for {base}")
     return _coerce(axis, text.strip(), schema[axis])

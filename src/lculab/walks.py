@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import make_rng
 from .core_algebra import DenseOperator, StateVector
-from .lcu_decomp import chebyshev_power_coeffs, exp_poly_coeffs
+from .lcu_decomp import chebyshev_power_coeffs
 
 MAX_NODES = 64
 
@@ -233,16 +233,6 @@ def _power_support(t: int, d: int):
     return exps, c / c.sum()
 
 
-def pow_ham_enumeration(t: int, d: int, w: WalkOperator, psi0: StateVector,
-                        cache: "_PowerCache | None" = None):
-    """All (probability, exponent, V^e psi0) branches of the mixture."""
-    exps, probs = _power_support(int(round(t)), d)
-    if cache is None:
-        cache = _PowerCache(w, psi0)
-    return [(float(pr), int(e), cache.state(int(e)))
-            for e, pr in zip(exps, probs)]
-
-
 def _poisson_log_weights(t: float, d: int) -> np.ndarray:
     from scipy.special import gammaln
     js = np.arange(d + 1)
@@ -253,20 +243,39 @@ def _poisson_log_weights(t: float, d: int) -> np.ndarray:
     return -t + js * np.log(t) - gammaln(js + 1)
 
 
+def _poisson(t: float, d: int) -> np.ndarray:
+    """Poisson(t) weights on 0..d, renormalized after the truncation."""
+    weights = np.exp(_poisson_log_weights(float(t), d))
+    return weights / weights.sum()
+
+
+def _branches(t: float, d: int, dprime: int | None = None) -> list[tuple[float, int]]:
+    """(probability, exponent) branches of the walk-power mixture for x^t
+    at degree d, or, given dprime, for e^{t(x-1)}: Poisson(t) weights
+    truncated at d over the mixtures of x^l at degree dprime."""
+    if dprime is None:
+        exps, probs = _power_support(int(round(t)), d)
+        return [(float(pr), int(e)) for e, pr in zip(exps, probs)]
+    out = []
+    for ell, po in enumerate(_poisson(t, d)):
+        if po == 0.0:
+            continue
+        out.extend((float(po * pr), e) for pr, e in _branches(ell, dprime))
+    return out
+
+
+def pow_ham_enumeration(t: int, d: int, w: WalkOperator, psi0: StateVector,
+                        cache: "_PowerCache | None" = None):
+    """All (probability, exponent, V^e psi0) branches of the mixture."""
+    cache = cache or _PowerCache(w, psi0)
+    return [(pr, e, cache.state(e)) for pr, e in _branches(t, d)]
+
+
 def exp_ham_enumeration(t: float, d: int, dprime: int, w: WalkOperator,
                         psi0: StateVector, cache: "_PowerCache | None" = None):
     """All (probability, exponent, state) branches of the nested mixture."""
-    weights = np.exp(_poisson_log_weights(t, d))
-    outer = weights / weights.sum()
-    if cache is None:
-        cache = _PowerCache(w, psi0)
-    out = []
-    for ell, po in enumerate(outer):
-        if po == 0.0:
-            continue
-        for pr, e, amps in pow_ham_enumeration(ell, dprime, w, psi0, cache):
-            out.append((float(po * pr), e, amps))
-    return out
+    cache = cache or _PowerCache(w, psi0)
+    return [(pr, e, cache.state(e)) for pr, e in _branches(t, d, dprime)]
 
 
 def exp_ham_l1(t: float, d: int) -> float:
@@ -292,30 +301,29 @@ class SearchConfig:
     master_seed: int = 0
 
 
-def _search_schedule(c: MarkovChain, marked, config: SearchConfig):
-    ht = hitting_time(c, marked)
-    big_t = max(config.c_t * ht, 2.0)
-    log_t = math.log2(big_t)
-    r_set = [2 ** k for k in range(0, math.ceil(log_t) + 1)]
-    return ht, big_t, r_set
+def _r_grid(big_t: float) -> list[int]:
+    """Interpolation grid r in {1, 2, ..., 2^ceil(log2 T)}; s = 1 - 1/r."""
+    return [2 ** k for k in range(0, math.ceil(math.log2(max(big_t, 2.0))) + 1)]
 
 
-def _pi_states(c: MarkovChain, marked):
+def _pi_states(c: MarkovChain, marked: frozenset):
+    """(pi_M, sqrt(pi_U)): the marked stationary mass and the square root of
+    the stationary distribution restricted to unmarked nodes."""
     pi = c.pi
-    marked = frozenset(marked)
     pi_m = sum(pi[m] for m in marked)
-    sqrt_pi = np.sqrt(pi)
     unmarked_mask = np.array([x not in marked for x in range(c.n)])
     pu = pi * unmarked_mask
     sqrt_pi_u = np.sqrt(pu / pu.sum()) if pu.sum() > 0 else np.zeros(c.n)
-    return pi_m, sqrt_pi, sqrt_pi_u
+    return pi_m, sqrt_pi_u
 
 
 class _PowerCache:
-    """V^e |psi> for increasing e by repeated matrix-vector products."""
+    """V^e |psi> for increasing e by repeated matrix-vector products; keeps
+    the walk's discriminant D for the exact drift."""
 
     def __init__(self, w: WalkOperator, psi: StateVector):
         self.v = w.v.entries
+        self.d = w.d.entries
         self.states = [psi.amplitudes.astype(complex)]
 
     def state(self, e: int) -> np.ndarray:
@@ -324,72 +332,108 @@ class _PowerCache:
         return self.states[e]
 
 
-def _run_search(c: MarkovChain, marked, config: SearchConfig, rng, algo: int,
-                cache: dict | None = None) -> SearchOutcome:
-    marked = frozenset(marked)
-    ht, big_t, r_set = _search_schedule(c, marked, config)
-    t = int(rng.integers(0, int(big_t) + 1))
-    r = int(r_set[rng.integers(0, len(r_set))])
+class _SearchSchedule:
+    """Everything one search call derives from (chain, marked, config, algo):
+    the hitting time HT of the lazy chain, T = max(c_t HT, 2), the r-grid,
+    the polynomial degrees d (and d' for algo 2) with their truncation
+    budget eps, pi_M and sqrt(pi_U), and one walk-power table per
+    interpolation value s, built when s is first asked for.
+
+    Algo 1 samples the truncated Chebyshev mixture of x^t at degree d.
+    Algo 2 draws l from the Poisson(t) weights truncated at d, then samples
+    the mixture of x^l at degree d'."""
+
+    def __init__(self, c: MarkovChain, marked, config: SearchConfig, algo: int):
+        self.chain = lazy(c)
+        self.marked = frozenset(marked)
+        self.marked_idx = sorted(self.marked)
+        self.algo = algo
+        self.ht = hitting_time(self.chain, self.marked)
+        self.big_t = big_t = max(config.c_t * self.ht, 2.0)
+        self.r_set = _r_grid(big_t)
+        self.pi_m, self.sqrt_pi_u = _pi_states(self.chain, self.marked)
+        log2t = max(math.log2(big_t), 1.0)
+        if algo == 1:
+            self.d = math.ceil(math.sqrt(big_t * log2t))
+            self.dprime = None
+            self.eps = 24.0 * math.exp(-self.d ** 2 / (2.0 * max(int(big_t), 1)))
+        else:
+            self.d = math.ceil(big_t * math.e ** 2)
+            self.dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
+            self.eps = 48.0 * log2t ** 2 * math.exp(-self.dprime ** 2 / (2.0 * big_t))
+        self._powers: dict[float, _PowerCache] = {}
+
+    def steps(self, x: int):
+        """(exponents, probabilities) of the walk-power mixture for the
+        monomial of degree x: t (algo 1) or the Poisson draw l (algo 2)."""
+        return _power_support(x, self.d if self.algo == 1 else self.dprime)
+
+    def walk_powers(self, s: float) -> _PowerCache:
+        """V(s)^e |0>|sqrt(pi_U)>, one walk per interpolation value."""
+        if s not in self._powers:
+            w = WalkOperator(InterpolatedChain(self.chain, self.marked, s))
+            self._powers[s] = _PowerCache(w, edge_zero_state(self.sqrt_pi_u))
+        return self._powers[s]
+
+    def marked_weights(self, s: float, max_e: int) -> np.ndarray:
+        """Marked-node weight of V(s)^e |0>|sqrt(pi_U)> for e = 0..max_e."""
+        pc, n = self.walk_powers(s), self.chain.n
+        return np.array([
+            float((np.abs(pc.state(e).reshape(n, n)) ** 2)[:, self.marked_idx].sum())
+            for e in range(max_e + 1)])
+
+
+def _drift_weights(dmat: np.ndarray, marked_idx: list[int],
+                   sqrt_pi_u: np.ndarray, ts, kind: str) -> list[float]:
+    """Marked-projection weight of f_t(D) |sqrt(pi_U)> for each t in ts, for
+    the discriminant matrix D, by eigh: f_t(x) = x^t (power) or e^{t(x-1)}
+    (exp)."""
+    if kind not in ("power", "exp"):
+        raise ValueError("kind must be 'power' or 'exp'")
+    evals, evecs = np.linalg.eigh(dmat)
+    coeffs = evecs.T @ sqrt_pi_u
+    rows = evecs[marked_idx, :]
+    out = []
+    for t in ts:
+        f = evals ** t if kind == "power" else np.exp(t * (evals - 1.0))
+        vec = rows @ (f * coeffs)
+        out.append(float(np.sum(np.abs(vec) ** 2)))
+    return out
+
+
+def _run_search(sch: _SearchSchedule, rng) -> SearchOutcome:
+    t = int(rng.integers(0, int(sch.big_t) + 1))
+    r = int(sch.r_set[rng.integers(0, len(sch.r_set))])
     s = 1.0 - 1.0 / r
-    pi_m, sqrt_pi, sqrt_pi_u = _pi_states(c, marked)
 
     # step 5: measure the node register of |0>|sqrt(pi)> against Pi_M
-    if rng.random() < pi_m:
-        probs = np.array([c.pi[m] for m in sorted(marked)]) / pi_m
-        node = int(rng.choice(sorted(marked), p=probs))
+    if rng.random() < sch.pi_m:
+        probs = np.array([sch.chain.pi[m] for m in sch.marked_idx]) / sch.pi_m
+        node = int(rng.choice(sch.marked_idx, p=probs))
         return SearchOutcome(True, node, s, t, 0)
 
-    if cache is not None and s in cache:
-        pc = cache[s]
+    pc = sch.walk_powers(s)
+    if sch.algo == 1:
+        x = t
     else:
-        w = WalkOperator(InterpolatedChain(c, marked, s))
-        pc = _PowerCache(w, edge_zero_state(sqrt_pi_u))
-        if cache is not None:
-            cache[s] = pc
-    if algo == 1:
-        d = math.ceil(math.sqrt(big_t * max(math.log2(big_t), 1.0)))
-        exps, probs = _power_support(t, d)
-        steps = int(rng.choice(exps, p=probs))
-    else:
-        d = math.ceil(big_t * math.e ** 2)
-        log2t = max(math.log2(big_t), 1.0)
-        dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
-        weights = np.exp(_poisson_log_weights(float(t), d))
-        ell = int(rng.choice(np.arange(d + 1), p=weights / weights.sum()))
-        exps, probs = _power_support(ell, dprime)
-        steps = int(rng.choice(exps, p=probs))
-    out = StateVector(pc.state(steps))
-    node_probs = node_marginal(out, c.n)
-    node_probs = np.maximum(node_probs, 0)
-    node_probs = node_probs / node_probs.sum()
-    node = int(rng.choice(c.n, p=node_probs))
-    return SearchOutcome(node in marked, node, s, t, steps)
-
-
-def spatial_search_1(c: MarkovChain, marked, config: SearchConfig,
-                     rng=None) -> SearchOutcome:
-    if rng is None:
-        rng = make_rng(config.master_seed, 41)
-    return _run_search(lazy(c), marked, config, rng, algo=1)
-
-
-def spatial_search_2(c: MarkovChain, marked, config: SearchConfig,
-                     rng=None) -> SearchOutcome:
-    if rng is None:
-        rng = make_rng(config.master_seed, 42)
-    return _run_search(lazy(c), marked, config, rng, algo=2)
+        x = int(rng.choice(np.arange(sch.d + 1), p=_poisson(t, sch.d)))
+    exps, probs = sch.steps(x)
+    steps = int(rng.choice(exps, p=probs))
+    n = sch.chain.n
+    node_probs = np.maximum(node_marginal(StateVector(pc.state(steps)), n), 0)
+    node = int(rng.choice(n, p=node_probs / node_probs.sum()))
+    return SearchOutcome(node in sch.marked, node, s, t, steps)
 
 
 def run_search_trials(c: MarkovChain, marked, config: SearchConfig,
                       n_trials: int, algo: int) -> list[SearchOutcome]:
-    """Independent search trials sharing the walk-power cache across the
-    (few) distinct interpolation values, so repeated runs cost matrix-vector
-    products only."""
+    """Independent search trials on one schedule: the hitting time is solved
+    once, and the walk powers are shared across the (few) distinct
+    interpolation values, so repeated trials cost matrix-vector products
+    only."""
     rng = make_rng(config.master_seed, 40 + algo)
-    lazy_c = lazy(c)
-    cache: dict = {}
-    return [_run_search(lazy_c, marked, config, rng, algo=algo, cache=cache)
-            for _ in range(n_trials)]
+    sch = _SearchSchedule(c, marked, config, algo)
+    return [_run_search(sch, rng) for _ in range(n_trials)]
 
 
 def exact_search_success(c: MarkovChain, marked, big_t: float, kind: str) -> float:
@@ -397,27 +441,14 @@ def exact_search_success(c: MarkovChain, marked, big_t: float, kind: str) -> flo
     marked-projection weight of D(s)^t (power) or e^{t(D(s)-I)} (exp)
     applied to the unmarked stationary state, by dense linear algebra."""
     marked = frozenset(marked)
-    log_t = math.log2(max(big_t, 2.0))
-    r_set = [2 ** k for k in range(0, math.ceil(log_t) + 1)]
-    _, _, sqrt_pi_u = _pi_states(c, marked)
-    marked_idx = sorted(marked)
+    _, sqrt_pi_u = _pi_states(c, marked)
+    r_set = _r_grid(big_t)
     ts = np.arange(0, int(big_t) + 1)
     total = 0.0
     for r in r_set:
-        s = 1.0 - 1.0 / r
-        dmat = discriminant(InterpolatedChain(c, marked, s)).entries
-        evals, evecs = np.linalg.eigh(dmat)
-        coeffs = evecs.T @ sqrt_pi_u
-        rows = evecs[marked_idx, :]
-        for t in ts:
-            if kind == "power":
-                f = evals ** t
-            elif kind == "exp":
-                f = np.exp(t * (evals - 1.0))
-            else:
-                raise ValueError("kind must be 'power' or 'exp'")
-            vec = rows @ (f * coeffs)
-            total += float(np.sum(np.abs(vec) ** 2))
+        dmat = discriminant(InterpolatedChain(c, marked, 1.0 - 1.0 / r)).entries
+        for weight in _drift_weights(dmat, sorted(marked), sqrt_pi_u, ts, kind):
+            total += weight
     return total / (len(r_set) * len(ts))
 
 
@@ -426,51 +457,31 @@ def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,
     """Exact success probability of the full algorithm (pre-measurement plus
     the sampled-polynomial walk stage), by enumerating r, t and the
     polynomial mixture."""
-    marked = frozenset(marked)
-    lazy_c = lazy(c)
-    ht, big_t, r_set = _search_schedule(lazy_c, marked, config)
-    pi_m, _, sqrt_pi_u = _pi_states(lazy_c, marked)
-    ts = np.arange(0, int(big_t) + 1)
+    sch = _SearchSchedule(c, marked, config, algo)
+    ts = np.arange(0, int(sch.big_t) + 1)
     if algo == 1:
-        d = math.ceil(math.sqrt(big_t * max(math.log2(big_t), 1.0)))
+        max_e = sch.d
     else:
-        d = math.ceil(big_t * math.e ** 2)
-        log2t = max(math.log2(big_t), 1.0)
-        dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
-    marked_idx = sorted(marked)
-    if algo == 2:
         # inner exponent distributions depend only on the Poisson draw
-        inner = [_power_support(ell, dprime) for ell in range(d + 1)]
+        inner = [sch.steps(ell) for ell in range(sch.d + 1)]
         max_e = max(int(exps[-1]) for exps, _ in inner)
-    else:
-        max_e = d
     walk_total = 0.0
-    for r in r_set:
-        s = 1.0 - 1.0 / r
-        w = WalkOperator(InterpolatedChain(lazy_c, marked, s))
-        psi = edge_zero_state(sqrt_pi_u)
-        cache = _PowerCache(w, psi)
-        # marked-node weight of V^e |0>|sqrt(pi_U)> for every exponent
-        mw = np.array([
-            float((np.abs(cache.state(e).reshape(c.n, c.n)) ** 2)
-                  [:, marked_idx].sum())
-            for e in range(max_e + 1)])
+    for r in sch.r_set:
+        mw = sch.marked_weights(1.0 - 1.0 / r, max_e)
         for t in ts:
             if algo == 1:
-                exps, probs = _power_support(int(t), d)
+                exps, probs = sch.steps(int(t))
                 walk_total += float(probs @ mw[exps])
             else:
-                weights = np.exp(_poisson_log_weights(float(t), d))
-                outer = weights / weights.sum()
                 mix = np.zeros(max_e + 1)
-                for ell, po in enumerate(outer):
+                for ell, po in enumerate(_poisson(t, sch.d)):
                     if po == 0.0:
                         continue
                     exps, probs = inner[ell]
                     mix[exps] += po * probs
                 walk_total += float(mix @ mw)
-    walk_avg = walk_total / (len(r_set) * len(ts))
-    return pi_m + (1 - pi_m) * walk_avg
+    walk_avg = walk_total / (len(sch.r_set) * len(ts))
+    return sch.pi_m + (1 - sch.pi_m) * walk_avg
 
 
 def theorem1_slack(c: MarkovChain, marked, config: SearchConfig, algo: int) -> float:
@@ -479,43 +490,21 @@ def theorem1_slack(c: MarkovChain, marked, config: SearchConfig, algo: int) -> f
     enumerated sampled-unitary mixture and eps the truncation budget implied
     by the polynomial degree in use.  Nonnegative when the sampling bound
     holds."""
-    marked = frozenset(marked)
-    lazy_c = lazy(c)
-    _, big_t, r_set = _search_schedule(lazy_c, marked, config)
-    _, _, sqrt_pi_u = _pi_states(lazy_c, marked)
-    t = int(big_t)
-    if algo == 1:
-        d = math.ceil(math.sqrt(big_t * max(math.log2(big_t), 1.0)))
-        eps = 24.0 * math.exp(-d ** 2 / (2.0 * max(t, 1)))
-    else:
-        d = math.ceil(big_t * math.e ** 2)
-        log2t = max(math.log2(big_t), 1.0)
-        dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
-        eps = 48.0 * log2t ** 2 * math.exp(-dprime ** 2 / (2.0 * big_t))
-    marked_idx = sorted(marked)
+    sch = _SearchSchedule(c, marked, config, algo)
+    t = int(sch.big_t)
+    branches = _branches(t, sch.d, sch.dprime)
+    max_e = max(e for _, e in branches)
+    kind = "power" if algo == 1 else "exp"
     slack = math.inf
-    for r in r_set:
+    for r in sch.r_set:
         s = 1.0 - 1.0 / r
-        ic = InterpolatedChain(lazy_c, marked, s)
-        w = WalkOperator(ic)
-        psi = edge_zero_state(sqrt_pi_u)
-        if algo == 1:
-            branches = pow_ham_enumeration(t, d, w, psi)
-        else:
-            branches = exp_ham_enumeration(float(t), d, dprime, w, psi)
+        mw = sch.marked_weights(s, max_e)
         sampled = 0.0
-        for pr, _, amps in branches:
-            marg = np.abs(amps.reshape(c.n, c.n)) ** 2
-            sampled += pr * float(marg[:, marked_idx].sum())
-        evals, evecs = np.linalg.eigh(w.d.entries)
-        coeffs = evecs.T @ sqrt_pi_u
-        if algo == 1:
-            f = evals ** t
-        else:
-            f = np.exp(t * (evals - 1.0))
-        vec = evecs[marked_idx, :] @ (f * coeffs)
-        target = float(np.sum(np.abs(vec) ** 2))
-        slack = min(slack, sampled + eps - target)
+        for pr, e in branches:
+            sampled += pr * float(mw[e])
+        [target] = _drift_weights(sch.walk_powers(s).d, sch.marked_idx,
+                                  sch.sqrt_pi_u, [t], kind)
+        slack = min(slack, sampled + sch.eps - target)
     return slack
 
 

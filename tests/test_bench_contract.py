@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lculab import _kernels, estimator
+from lculab import _kernels, analog, estimator, walks
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,3 +36,7 @@ def test_traced_arguments_keep_their_positions():
     assert acc[:6] == ["u", "ou", "probs", "key1", "key2", "total"]
     exp = list(inspect.signature(estimator.expectation_observable).parameters)
     assert exp.index("phase") == 7
+    trials = list(inspect.signature(walks.run_search_trials).parameters)
+    assert trials.index("n_trials") == 3
+    evolve = list(inspect.signature(analog.evolve_bilinear).parameters)
+    assert evolve.index("ancillas") == 2

@@ -148,6 +148,40 @@ class TestRunReports:
         assert r["theorem1_slack"] >= 0
         validate_report(json.loads(rep.to_json()), SCHEMA)
 
+    # canonical reports as lculab 0.2.0 wrote them: a refactor of the
+    # search must keep the walk draws and every reported value bit-identical
+    WALKS_GOLDEN = {
+        ("cycle:6", "1"): (
+            '{"config": {"subcommand": "walks-search", "algo": 1, '
+            '"c_t": 1, "delta": 0.10000000000000001, '
+            '"eps": 0.10000000000000001, "graph": "cycle:6", '
+            '"marked": "0", "mode": "expectation", "seed": 3, '
+            '"trace": false, "trials": 60}, "results": {"HT": 14, "T": 14, '
+            '"empirical_success": 0.26666666666666666, '
+            '"oracle_success": 0.33762193211524721, '
+            '"theorem1_slack": 2.494951198902438, "trials": 60, '
+            '"algo": 1}, "timings": {}, "version": "0.2.0"}'
+        ),
+        ("complete:4", "2"): (
+            '{"config": {"subcommand": "walks-search", "algo": 2, '
+            '"c_t": 1, "delta": 0.10000000000000001, '
+            '"eps": 0.10000000000000001, "graph": "complete:4", '
+            '"marked": "0", "mode": "expectation", "seed": 3, '
+            '"trace": false, "trials": 60}, "results": {"HT": 6, "T": 6, '
+            '"empirical_success": 0.51666666666666672, '
+            '"oracle_success": 0.43920605786462596, '
+            '"theorem1_slack": 0.51617354977779972, "trials": 60, '
+            '"algo": 2}, "timings": {}, "version": "0.2.0"}'
+        ),
+    }
+
+    @pytest.mark.parametrize("graph,algo", sorted(WALKS_GOLDEN))
+    def test_walks_search_golden(self, graph, algo):
+        rep = run(parse_config("walks-search",
+                               {"graph": graph, "marked": "0", "algo": algo,
+                                "seed": "3", "trials": "60"}))
+        assert rep.canonical_json() == self.WALKS_GOLDEN[(graph, algo)]
+
     def test_decomp_check_report(self):
         rep = run(parse_config("decomp-check",
                                {"kind": "gaussian", "t": "9.0",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lculab import walks
 from lculab.core_algebra import DenseOperator, StateVector
 from lculab.walks import (
     InterpolatedChain,
@@ -28,8 +29,6 @@ from lculab.walks import (
     pow_ham_enumeration,
     predicted_search_success,
     run_search_trials,
-    spatial_search_1,
-    spatial_search_2,
     theorem1_slack,
 )
 
@@ -272,13 +271,13 @@ class TestSearch:
         c = cycle_chain(4)
         cfg = SearchConfig(master_seed=0)
         for i in range(20):
-            out = spatial_search_1(c, set(range(4)),
-                                   SearchConfig(master_seed=i))
+            out = run_search_trials(c, set(range(4)),
+                                    SearchConfig(master_seed=i), 1, 1)[0]
             assert out.found and out.walk_steps_applied == 0
 
     def test_empty_marked_rejected(self):
         with pytest.raises(ValueError):
-            spatial_search_1(cycle_chain(4), set(), SearchConfig())
+            run_search_trials(cycle_chain(4), set(), SearchConfig(), 1, 1)
 
     @pytest.mark.parametrize("algo", [1, 2])
     def test_empirical_matches_prediction(self, algo):
@@ -306,10 +305,24 @@ class TestSearch:
         assert abs(p_pow - p_exp) <= 0.05
 
     def test_search_outcome_fields(self):
-        out = spatial_search_2(cycle_chain(4), {1}, SearchConfig(master_seed=5))
+        out = run_search_trials(cycle_chain(4), {1},
+                                SearchConfig(master_seed=5), 1, 2)[0]
         assert out.node in range(4)
         assert 0 <= out.s_used < 1
         assert out.t_used >= 0
+
+    @pytest.mark.parametrize("algo", [1, 2])
+    def test_trials_solve_hitting_time_once(self, monkeypatch, algo):
+        calls = []
+
+        def counted(c, marked):
+            calls.append(1)
+            return hitting_time(c, marked)
+
+        monkeypatch.setattr(walks, "hitting_time", counted)
+        outs = run_search_trials(cycle_chain(6), {0}, SearchConfig(), 185, algo)
+        assert len(outs) == 185
+        assert len(calls) == 1
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6),

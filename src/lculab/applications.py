@@ -21,7 +21,6 @@ from .core_algebra import (
 from .estimator import (
     EstimateReport,
     EstimatorConfig,
-    PreparedProductLcu,
     ProductSampler,
     cost_summary,
     observable_norm,
@@ -130,7 +129,7 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
     seg = SegmentLcu(h, t, r, bigk)
     sampler = ProductSampler(seg)
     flat = sampler.flatten(FLATTEN_CAP)
-    lcu = PreparedProductLcu(flat, seg) if flat is not None else sampler
+    lcu = sampler if flat is None else flat
     c1 = lcu.l1_norm
     t_reps = (repetitions_override if repetitions_override is not None
               else required_repetitions(norm_o, c1, epsilon, delta))

@@ -229,14 +229,21 @@ def ham_to_dense(h: PauliHamiltonian) -> DenseOperator:
     return DenseOperator(m, hermitian=True)
 
 
-def matrix_function(a: DenseOperator, f) -> DenseOperator:
-    """f(A) = sum_j f(lambda_j) |v_j><v_j| via one full eigendecomposition."""
+def hermitian_eigh(a: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(evals, evecs) of a hermitian-flagged operator, checked once by
+    reconstructing A from them."""
     if not a.hermitian:
-        raise ValueError("matrix_function requires a hermitian-flagged operator")
+        raise ValueError("eigendecomposition requires a hermitian-flagged operator")
     evals, evecs = np.linalg.eigh(a.entries)
     recon = (evecs * evals) @ evecs.conj().T
     if spectral_norm(recon - a.entries) > RECONSTRUCTION_TOL:
         raise ValueError("eigendecomposition reconstruction residual too large")
+    return evals, evecs
+
+
+def matrix_function(a: DenseOperator, f) -> DenseOperator:
+    """f(A) = sum_j f(lambda_j) |v_j><v_j| via one full eigendecomposition."""
+    evals, evecs = hermitian_eigh(a)
     fvals = np.array([f(x) for x in evals], dtype=complex)
     return DenseOperator((evecs * fvals) @ evecs.conj().T)
 

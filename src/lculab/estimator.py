@@ -10,7 +10,7 @@ repetition counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,18 +18,17 @@ from . import _kernels
 from .core_algebra import (
     DenseOperator,
     ObservableLcu,
+    PauliHamiltonian,
     StateVector,
+    ham_to_dense,
     spectral_norm,
 )
 from .lcu_decomp import (
-    Identity,
     LcuDecomposition,
-    PauliProductRotation,
     SegmentLcu,
-    TimeEvolution,
-    WalkPower,
     apply_pauli_rotation,
-    realize,
+    term_unitaries,
+    time_evolution_state_batch,
 )
 
 ENUMERATED_STATE_CAP = 50_000_000   # max M * dim complex entries in a state batch
@@ -100,27 +99,6 @@ class EstimateReport:
         }
 
 
-class CostModel:
-    """Per-descriptor runtime weights: time evolutions cost their duration,
-    a k-fold Pauli product with one rotation costs k+1, walk powers cost
-    their exponent."""
-
-    def cost(self, d) -> float:
-        if isinstance(d, TimeEvolution):
-            return abs(d.duration)
-        if isinstance(d, PauliProductRotation):
-            return len(d.paulis) + 1
-        if isinstance(d, WalkPower):
-            return float(d.exponent)
-        if isinstance(d, Identity):
-            return 0.0
-        if isinstance(d, _ProductDescriptor):
-            return float(sum(self.cost(x) for x in d.factors))
-        if isinstance(d, (list, tuple)):
-            return float(sum(self.cost(x) for x in d))
-        raise TypeError(f"no cost rule for {d!r}")
-
-
 def required_repetitions(norm_o: float, c1: float, epsilon: float, delta: float) -> int:
     """ceil(8 |O|^2 ln(2/delta) |c|_1^4 / eps^2) — the Hoeffding count."""
     if norm_o <= 0 or c1 <= 0 or epsilon <= 0 or not 0 < delta < 1:
@@ -132,23 +110,27 @@ def required_repetitions(norm_o: float, c1: float, epsilon: float, delta: float)
 # sampleable wrappers
 
 class PreparedLcu:
-    """Enumerated decomposition bound to its realization context."""
+    """Enumerated decomposition bound to its realization context.  A time
+    evolution costs its duration."""
 
     def __init__(self, decomp: LcuDecomposition, context):
         self.decomp = decomp
         self.context = context
-        self.l1_norm = decomp.l1_norm
-        self.probs = decomp.probabilities()
-        cm = CostModel()
-        self.costs = np.array([cm.cost(u) for _, u in decomp.terms])
-        self.tau_max = float(self.costs.max()) if len(self.costs) else 0.0
-        self.avg_cost = float(self.probs @ self.costs)
+        self._set_terms(decomp.coeffs, decomp.l1_norm, np.abs(decomp.durations))
         self.unit_normalized = False
+
+    def _set_terms(self, coeffs: np.ndarray, l1_norm: float,
+                   costs: np.ndarray) -> None:
+        self.l1_norm = l1_norm
+        self.probs = coeffs / l1_norm
+        self.costs = costs
+        self.tau_max = float(costs.max()) if len(costs) else 0.0
+        self.avg_cost = float(self.probs @ costs)
         self._batch_cache: tuple | None = None   # (psi0, rows)
 
     @property
     def n_terms(self) -> int:
-        return self.decomp.n_terms
+        return len(self.probs)
 
     def _batch(self, psi0: StateVector, rows) -> np.ndarray:
         """rows(psi0), cached for the last state seen.  The cache holds psi0
@@ -167,15 +149,22 @@ class PreparedLcu:
         return self._batch(psi0, self._term_rows)
 
     def _term_rows(self, psi0: StateVector) -> np.ndarray:
-        if all(isinstance(u, TimeEvolution) for _, u in self.decomp.terms):
-            from .core_algebra import PauliHamiltonian, ham_to_dense
-            from .lcu_decomp import time_evolution_state_batch
-            h = self.context
-            if isinstance(h, PauliHamiltonian):
-                h = ham_to_dense(h)
-            return time_evolution_state_batch(self.decomp, h, psi0)
-        return np.stack([realize(d, self.context).entries @ psi0.amplitudes
-                         for _, d in self.decomp.terms])
+        h = self.context
+        if isinstance(h, PauliHamiltonian):
+            h = ham_to_dense(h)
+        return time_evolution_state_batch(self.decomp, h, psi0)
+
+
+def _product_cost(factors) -> float:
+    """A k-fold Pauli product with one rotation costs k+1."""
+    return float(sum(len(d.paulis) + 1 for d in factors))
+
+
+def _apply_product(factors, h: PauliHamiltonian, amps: np.ndarray) -> np.ndarray:
+    """Apply the Pauli product rotations in `factors`, first one first."""
+    for d in factors:
+        amps = apply_pauli_rotation(d, h, amps)
+    return amps
 
 
 class ProductSampler:
@@ -186,28 +175,23 @@ class ProductSampler:
         self.segment = segment
         self.r = segment.r if r is None else r
         self.l1_norm = segment.l1_norm ** self.r
-        cm = CostModel()
         # analytic per-segment cost: sum_k w_k (k+1) / l1
         w = segment.k_weights / segment.l1_norm
         self.avg_cost = float(self.r * sum(wk * (k + 1)
                                            for wk, k in zip(w, segment.even_ks)))
         self.tau_max = float(self.r * (max(segment.even_ks) + 1))
         self.unit_normalized = True   # the target e^{-iHt} is unitary
-        self._cm = cm
 
     def draw(self, rng) -> list:
         return [self.segment.sample(rng) for _ in range(self.r)]
 
     def apply(self, descriptors, psi0: StateVector) -> np.ndarray:
-        amps = psi0.amplitudes
-        for d in descriptors:
-            amps = apply_pauli_rotation(d, self.segment.h, amps)
-        return amps
+        return _apply_product(descriptors, self.segment.h, psi0.amplitudes)
 
     def cost(self, descriptors) -> float:
-        return self._cm.cost(list(descriptors))
+        return _product_cost(descriptors)
 
-    def flatten(self, max_terms: int = 4096) -> LcuDecomposition | None:
+    def flatten(self, max_terms: int = 4096) -> PreparedProductLcu | None:
         """Explicit product decomposition when small enough, else None."""
         if self.segment.n_enumerable > max_terms:
             return None
@@ -221,40 +205,26 @@ class ProductSampler:
             if len(nxt) > max_terms:
                 return None
             flat = nxt
-        terms = [(c, _ProductDescriptor(ds)) for c, ds in flat]
-        return LcuDecomposition(tuple(terms), target_error=0.0,
-                                info={"flattened_product": self.r})
-
-
-@dataclass(frozen=True)
-class _ProductDescriptor:
-    """Ordered composition of descriptors, applied right-to-left."""
-    factors: tuple
-
-
-def _apply_descriptor(d, context, amps: np.ndarray) -> np.ndarray:
-    from .core_algebra import PauliHamiltonian
-    if isinstance(d, _ProductDescriptor):
-        for f in d.factors:
-            amps = _apply_descriptor(f, context, amps)
-        return amps
-    if isinstance(d, PauliProductRotation) and isinstance(context, PauliHamiltonian):
-        return apply_pauli_rotation(d, context, amps)
-    return realize(d, context).entries @ amps
+        return PreparedProductLcu(np.array([c for c, _ in flat]),
+                                  tuple(ds for _, ds in flat), self.segment)
 
 
 class PreparedProductLcu(PreparedLcu):
-    """Enumerated flattening of a segment product (fast kernel path)."""
+    """Enumerated flattening of a segment product (fast kernel path): term j
+    has coefficient coeffs[j] and applies the rotations factors[j] in
+    order."""
 
-    def __init__(self, decomp: LcuDecomposition, segment: SegmentLcu):
-        super().__init__(decomp, segment.h)
-        self.unit_normalized = True
+    def __init__(self, coeffs: np.ndarray, factors: tuple, segment: SegmentLcu):
+        self._set_terms(coeffs, float(sum(coeffs.tolist())),
+                        np.array([_product_cost(ds) for ds in factors]))
+        self.factors = factors
         self.segment = segment
+        self.unit_normalized = True
 
     def states(self, psi0: StateVector) -> np.ndarray:
         return self._batch(psi0, lambda psi: np.stack(
-            [_apply_descriptor(d, self.segment.h, psi.amplitudes)
-             for _, d in self.decomp.terms]))
+            [_apply_product(ds, self.segment.h, psi.amplitudes)
+             for ds in self.factors]))
 
 
 class PerturbedLcu(PreparedLcu):
@@ -262,11 +232,12 @@ class PerturbedLcu(PreparedLcu):
     by a nearby unitary at operator-norm distance <= delta_u (models
     imperfect implementations)."""
 
-    def __init__(self, decomp: LcuDecomposition, context, delta_u: float, rng):
+    def __init__(self, decomp: LcuDecomposition, context: DenseOperator,
+                 delta_u: float, rng):
         super().__init__(decomp, context)
         self._unitaries = [
-            perturb_unitary(realize(d, context), delta_u, rng).entries
-            for _, d in decomp.terms
+            perturb_unitary(DenseOperator(u, unitary=True), delta_u, rng).entries
+            for u in term_unitaries(decomp, context)
         ]
         self.delta_u = delta_u
 
@@ -460,6 +431,7 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
     rescaled for the ratio's error budget."""
     prepared = prepare(lcu, context)
     norm_o = observable_norm(o)
+    scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     c1 = prepared.l1_norm
     eps, delta, ell_star = config.epsilon, config.delta, config.ell_star
 
@@ -469,31 +441,24 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
         t_num = required_repetitions(norm_o, c1, eps * ell_star / 3, delta)
         t_den = required_repetitions(1.0, c1, eps * ell_star / (3 * norm_o), delta)
 
-    mu, num_records, (mean1, std1) = expectation_observable(
+    mu, num_records, (_, std) = expectation_observable(
         prepared, psi0, o, t_num, config, context=context,
         experiment=experiment, phase=0, collect_records=collect_records)
 
-    if getattr(prepared, "unit_normalized", False):
+    if prepared.unit_normalized:
         ell_tilde = 1.0
         t_used = t_num
-        std = std1
     else:
-        ident = _identity_like(psi0.dim)
-        ident_cfg = config if config.mode == "expectation" else EstimatorConfig(
-            epsilon=config.epsilon, delta=config.delta, mode="expectation",
-            repetitions_override=config.repetitions_override,
-            master_seed=config.master_seed, ell_star=config.ell_star)
         ell_tilde, _, _ = expectation_observable(
-            prepared, psi0, ident, t_den, ident_cfg, context=context,
+            prepared, psi0, _identity_like(psi0.dim), t_den,
+            replace(config, mode="expectation"), context=context,
             experiment=experiment, phase=1, collect_records=False)
         t_used = t_num + t_den
-        std = std1
         floor = eps * ell_star / (3 * norm_o)
         if ell_tilde <= floor:
             raise NormUnderflowError(ell_tilde, floor)
 
     ratio = mu / ell_tilde
-    scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     info = {"records": num_records} if num_records is not None else {}
     return EstimateReport(
         mu=mu, ell_tilde=ell_tilde, ratio=ratio, t_used=t_used,

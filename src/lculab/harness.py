@@ -40,7 +40,6 @@ from .core_algebra import (
 )
 from .estimator import NormUnderflowError
 from .lcu_decomp import (
-    SCALAR_GRID_POINTS,
     gaussian_lcu,
     inverse_lcu,
     realized_sum,
@@ -469,18 +468,15 @@ def _run_decomp_check(p: dict) -> dict:
     if kind == "gaussian":
         dec = gaussian_lcu(p["t"], p["gamma"])
         params = {"t": p["t"], "gamma": p["gamma"]}
-        sup = _gaussian_sup_error(dec, p["t"])
-        tau_max = dec.info["tau_max"]
     elif kind == "inverse":
         dec = inverse_lcu(p["kappa"], p["gamma"])
         params = {"kappa": p["kappa"], "gamma": p["gamma"]}
-        sup = dec.info["scalar_sup_error"]
-        tau_max = dec.info["tau_max"]
     else:
         raise ConfigError("kind must be 'gaussian' or 'inverse'")
     out = {"kind": kind, "params": params, "l1_norm": dec.l1_norm,
-           "n_terms": len(dec.terms), "scalar_sup_error": sup,
-           "tau_max": tau_max}
+           "n_terms": dec.n_terms,
+           "scalar_sup_error": dec.info["scalar_sup_error"],
+           "tau_max": dec.info["tau_max"]}
     ham_text = p.get("hamiltonian")
     if ham_text:
         h = _parse_ham(ham_text)
@@ -489,13 +485,6 @@ def _run_decomp_check(p: dict) -> dict:
         real = realized_sum(dec, hd)
         out["matrix_sup_error"] = float(np.linalg.norm(real - target, 2))
     return out
-
-
-def _gaussian_sup_error(dec, t: float) -> float:
-    xs = np.linspace(-1.0, 1.0, SCALAR_GRID_POINTS)
-    from .lcu_decomp import scalar_function
-    approx = scalar_function(dec, xs)
-    return float(np.max(np.abs(approx - np.exp(-t * xs ** 2))))
 
 
 def _decomp_matrix_oracle(kind: str, p: dict, h: np.ndarray) -> np.ndarray:

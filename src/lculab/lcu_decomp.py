@@ -19,23 +19,15 @@ from .core_algebra import (
     DenseOperator,
     PauliHamiltonian,
     StateVector,
-    matrix_function,
+    hermitian_eigh,
     pauli_apply,
-    spectral_norm,
 )
 
 SCALAR_GRID_POINTS = 2000
 
 
 # ---------------------------------------------------------------------------
-# unitary descriptors
-
-@dataclass(frozen=True)
-class TimeEvolution:
-    """phase * exp(-i * duration * H) for the context Hamiltonian H."""
-    duration: float
-    phase: complex = 1.0
-
+# term types and time-evolution decompositions
 
 @dataclass(frozen=True)
 class PauliProductRotation:
@@ -48,89 +40,49 @@ class PauliProductRotation:
     phase: complex = 1.0
 
 
-@dataclass(frozen=True)
-class WalkPower:
-    """V^exponent for the context walk unitary V."""
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Identity:
-    pass
-
-
-UnitaryDescriptor = TimeEvolution | PauliProductRotation | WalkPower | Identity
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LcuDecomposition:
-    """Positive coefficients plus unitary descriptors.
+    """sum_j coeffs_j * phases_j * e^{-i durations_j H} for the context
+    Hamiltonian H, held as three read-only arrays of one length.
 
-    Signs and unimodular phases live inside the descriptors, so every
-    coefficient is strictly positive and l1_norm is just their sum.
+    Signs and unimodular phases live in `phases`, so every coefficient is
+    strictly positive and l1_norm is their sum, taken left to right.
     """
 
-    terms: tuple
+    coeffs: np.ndarray
+    durations: np.ndarray
+    phases: np.ndarray
     target_error: float
     info: dict = field(default_factory=dict)
     l1_norm: float = field(init=False)
 
     def __post_init__(self):
-        terms = tuple((float(c), u) for c, u in self.terms)
-        if any(c <= 0 for c, _ in terms):
+        arrays = {"coeffs": np.array(self.coeffs, dtype=float),
+                  "durations": np.array(self.durations, dtype=float),
+                  "phases": np.array(self.phases, dtype=complex)}
+        if len({a.shape for a in arrays.values()}) != 1 or \
+                arrays["coeffs"].ndim != 1:
+            raise ValueError("coeffs, durations and phases must be 1-D "
+                             "arrays of one length")
+        if not np.all(arrays["coeffs"] > 0):
             raise ValueError("coefficients must be strictly positive")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "l1_norm", float(sum(c for c, _ in terms)))
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "l1_norm",
+                           float(sum(arrays["coeffs"].tolist())))
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.terms])
-
-    def probabilities(self) -> np.ndarray:
-        return self.coefficients() / self.l1_norm
-
-
-# ---------------------------------------------------------------------------
-# realization
-
-def _context_dense(context) -> DenseOperator:
-    if isinstance(context, PauliHamiltonian):
-        from .core_algebra import ham_to_dense
-        return ham_to_dense(context)
-    if isinstance(context, DenseOperator):
-        return context
-    raise TypeError(f"unsupported context {type(context).__name__}")
-
-
-def realize(d: UnitaryDescriptor, context) -> DenseOperator:
-    """Turn a descriptor into a dense unitary given its context
-    (Hamiltonian for time evolutions / Pauli rotations, walk unitary for
-    walk powers)."""
-    if isinstance(d, Identity):
-        h = _context_dense(context)
-        return DenseOperator(np.eye(h.dim), hermitian=True, unitary=True)
-    if isinstance(d, TimeEvolution):
-        h = _context_dense(context)
-        u = matrix_function(h, lambda x: np.exp(-1j * d.duration * x))
-        return DenseOperator(d.phase * u.entries, unitary=True)
-    if isinstance(d, WalkPower):
-        v = _context_dense(context)
-        if not v.unitary:
-            raise ValueError("walk context must be unitary")
-        return DenseOperator(np.linalg.matrix_power(v.entries, d.exponent), unitary=True)
-    if isinstance(d, PauliProductRotation):
-        if not isinstance(context, PauliHamiltonian):
-            raise TypeError("pauli product rotations need a PauliHamiltonian context")
-        dim = context.dim
-        psi = np.eye(dim, dtype=complex)
-        out = np.empty_like(psi)
-        for col in range(dim):
-            out[:, col] = apply_pauli_rotation(d, context, psi[:, col])
-        return DenseOperator(out, unitary=True)
-    raise TypeError(f"unknown descriptor {d!r}")
+    @property
+    def terms(self) -> np.recarray:
+        """The three arrays as (coeff, duration, phase) records."""
+        rec = np.rec.fromarrays((self.coeffs, self.durations, self.phases),
+                                names="coeff,duration,phase")
+        rec.setflags(write=False)
+        return rec
 
 
 def apply_pauli_rotation(d: PauliProductRotation, h: PauliHamiltonian,
@@ -145,34 +97,42 @@ def apply_pauli_rotation(d: PauliProductRotation, h: PauliHamiltonian,
     return out
 
 
-def realized_sum(decomp: LcuDecomposition, context) -> np.ndarray:
+def term_unitaries(decomp: LcuDecomposition, h: DenseOperator):
+    """Yield phase_j V e^{-i d_j Lambda} V^dag = phase_j e^{-i d_j H} for every
+    term, from one checked eigendecomposition H = V Lambda V^dag."""
+    evals, evecs = hermitian_eigh(h)
+    for duration, phase in zip(decomp.durations.tolist(),
+                               decomp.phases.tolist()):
+        fvals = np.exp(-1j * duration * evals)
+        yield phase * ((evecs * fvals) @ evecs.conj().T)
+
+
+def realized_sum(decomp: LcuDecomposition, h: DenseOperator) -> np.ndarray:
     """Dense sum_j c_j U_j (the operator the decomposition approximates)."""
     acc = None
-    for c, u in decomp.terms:
-        m = c * realize(u, context).entries
+    for c, u in zip(decomp.coeffs.tolist(), term_unitaries(decomp, h)):
+        m = c * u
         acc = m if acc is None else acc + m
     return acc
 
 
 def time_evolution_state_batch(decomp: LcuDecomposition, h: DenseOperator,
                                psi0: StateVector) -> np.ndarray:
-    """Rows phase_j * exp(-i d_j H) |psi0> for a pure time-evolution
-    decomposition, via a single eigendecomposition."""
+    """Rows phase_j * exp(-i d_j H) |psi0> for every term, via a single
+    eigendecomposition."""
     evals, evecs = np.linalg.eigh(h.entries)
     coeffs = evecs.conj().T @ psi0.amplitudes
-    durations = np.array([u.duration for _, u in decomp.terms])
-    phases = np.array([u.phase for _, u in decomp.terms], dtype=complex)
     # (M, dim) phase table in the eigenbasis, then rotate back
-    table = np.exp(-1j * np.outer(durations, evals)) * coeffs[None, :]
-    return phases[:, None] * (table @ evecs.T)
+    table = np.exp(-1j * np.outer(decomp.durations, evals)) * coeffs[None, :]
+    return decomp.phases[:, None] * (table @ evecs.T)
 
 
 def scalar_function(decomp: LcuDecomposition, xs: np.ndarray) -> np.ndarray:
-    """sum_j c_j phase_j e^{-i x d_j}: the scalar symbol of a pure
-    time-evolution decomposition, evaluated on a grid of eigenvalues."""
+    """sum_j c_j phase_j e^{-i x d_j}: the scalar symbol of the
+    decomposition, evaluated on a grid of eigenvalues."""
     xs = np.asarray(xs, dtype=float)
-    durations = np.array([u.duration for _, u in decomp.terms])
-    weights = np.array([c * u.phase for c, u in decomp.terms], dtype=complex)
+    durations = decomp.durations
+    weights = decomp.coeffs * decomp.phases
     # chunk the grid: the phase table is len(xs) * n_terms complex entries
     chunk = max(1, int(5_000_000 // max(len(durations), 1)))
     out = np.empty(len(xs), dtype=complex)
@@ -187,7 +147,8 @@ def scalar_function(decomp: LcuDecomposition, xs: np.ndarray) -> np.ndarray:
 
 def gaussian_lcu(t: float, gamma: float) -> LcuDecomposition:
     """Time-evolution mixture whose realized operator is within gamma of
-    e^{-t H^2} for any unit-norm Hermitian H (t > 1)."""
+    e^{-t H^2} for any unit-norm Hermitian H (t > 1).  info records the
+    verified scalar sup error on the SCALAR_GRID_POINTS grid of [-1, 1]."""
     if t <= 1:
         raise ValueError("t must exceed 1")
     if not 0 < gamma < 1:
@@ -196,49 +157,30 @@ def gaussian_lcu(t: float, gamma: float) -> LcuDecomposition:
     big_m = math.ceil(math.sqrt(2) * (math.sqrt(t) + math.sqrt(math.log(5 / gamma)))
                       * math.sqrt(math.log(4 / gamma)))
     scale = math.sqrt(2 * t)
+    norm = delta_t / math.sqrt(2 * math.pi)
     # The nominal M truncates the z-grid at sqrt(log(4/gamma)), whose tail
     # mass alone exceeds gamma; grow M (step size fixed) until the scalar
-    # error bound actually meets the target.
+    # error actually meets the target.
     xs = np.linspace(-1.0, 1.0, SCALAR_GRID_POINTS)
+    target = np.exp(-t * xs ** 2)
     for _ in range(64):
-        if _gaussian_scalar_error(big_m, delta_t, t, xs) <= gamma:
-            break
+        js = range(-big_m, big_m + 1)
+        dec = LcuDecomposition(
+            coeffs=[norm * math.exp(-(j * delta_t) ** 2 / 2) for j in js],
+            durations=np.array(js) * delta_t * scale,
+            phases=np.ones(len(js)), target_error=gamma,
+            info={"M": big_m, "delta_t": delta_t,
+                  "tau_max": big_m * delta_t * scale, "t": t})
+        err = float(np.max(np.abs(scalar_function(dec, xs) - target)))
+        if err <= gamma:
+            dec.info["scalar_sup_error"] = err
+            return dec
         big_m = math.ceil(1.25 * big_m)
-    else:
-        raise RuntimeError("gaussian schedule failed to calibrate")
-    terms = []
-    for j in range(-big_m, big_m + 1):
-        c = delta_t / math.sqrt(2 * math.pi) * math.exp(-(j * delta_t) ** 2 / 2)
-        terms.append((c, TimeEvolution(duration=j * delta_t * scale)))
-    info = {"M": big_m, "delta_t": delta_t,
-            "tau_max": big_m * delta_t * scale, "t": t}
-    return LcuDecomposition(tuple(terms), target_error=gamma, info=info)
-
-
-def _gaussian_scalar_error(big_m: int, delta_t: float, t: float,
-                           xs: np.ndarray) -> float:
-    js = np.arange(-big_m, big_m + 1)
-    coeffs = delta_t / math.sqrt(2 * math.pi) * np.exp(-(js * delta_t) ** 2 / 2)
-    phases = np.exp(-1j * np.outer(xs, js * delta_t * math.sqrt(2 * t)))
-    approx = (phases @ coeffs).real
-    return float(np.max(np.abs(approx - np.exp(-t * xs ** 2))))
+    raise RuntimeError("gaussian schedule failed to calibrate")
 
 
 # ---------------------------------------------------------------------------
 # discretized inverse
-
-def _inverse_terms(big_j: int, big_k: int, dy: float, dz: float):
-    terms = []
-    for k in range(-big_k, big_k + 1):
-        if k == 0:
-            continue
-        zk = k * dz
-        c = dy * dz / math.sqrt(2 * math.pi) * abs(zk) * math.exp(-zk * zk / 2)
-        phase = 1j if zk > 0 else -1j
-        for j in range(big_j):
-            terms.append((c, TimeEvolution(duration=j * dy * zk, phase=phase)))
-    return terms
-
 
 def _inverse_scalar_error(big_j, big_k, dy, dz, kappa) -> float:
     """sup |1/x - g(x)| on the two-sided eigenvalue domain, using the
@@ -262,7 +204,9 @@ def inverse_lcu(kappa: float, gamma: float) -> LcuDecomposition:
 
     Closed-form parameter counts are only known up to constants, so a
     calibration loop refines the grids until the scalar sup bound holds;
-    final J and K are reported in info.
+    final J and K are reported in info.  Terms run k-major: for each
+    k != 0 in -K..K, the J terms j = 0..J-1 share the coefficient and phase
+    of z_k = k dz and have durations j dy z_k.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -286,11 +230,17 @@ def inverse_lcu(kappa: float, gamma: float) -> LcuDecomposition:
         z_max *= 1.25
     else:
         raise RuntimeError("inverse quadrature calibration failed to converge")
-    terms = _inverse_terms(big_j, big_k, dy, dz)
+    zks = [k * dz for k in range(-big_k, big_k + 1) if k != 0]
+    per_k = [dy * dz / math.sqrt(2 * math.pi) * abs(zk) * math.exp(-zk * zk / 2)
+             for zk in zks]
     info = {"J": big_j, "K": big_k, "delta_y": dy, "delta_z": dz,
             "scalar_sup_error": err, "tau_max": big_j * dy * big_k * dz,
             "kappa": kappa}
-    return LcuDecomposition(tuple(terms), target_error=gamma, info=info)
+    return LcuDecomposition(
+        coeffs=np.repeat(per_k, big_j),
+        durations=np.outer(zks, np.arange(big_j) * dy).ravel(),
+        phases=np.repeat(np.where(np.array(zks) > 0, 1j, -1j), big_j),
+        target_error=gamma, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +411,9 @@ def exp_poly_eval(coeffs: ExpPolyCoeffs, xs: np.ndarray) -> np.ndarray:
 
 
 def gaussian_poly_eval(t: float, epsilon: float, x) -> np.ndarray | float:
-    """e^{-t x^2} proxy: q_{t/2,d,d'}(1 - 2x^2) with the schedule
-    d = ceil(max(t e^2/2, ln(2/eps))), d' = ceil(sqrt(2 d ln(4/eps)))."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0,1)")
-    half = t / 2.0
-    d = max(1, math.ceil(max(t * math.e ** 2 / 2, math.log(2 / epsilon))))
-    dprime = math.ceil(math.sqrt(2 * d * math.log(4 / epsilon)))
-    js = np.arange(d + 1)
-    with np.errstate(divide="ignore"):
-        log_w = -half + js * (np.log(half) if half > 0 else -np.inf) - gammaln(js + 1)
-    log_w[0] = -half
-    coeffs = ExpPolyCoeffs(t=half, d=d, dprime=dprime,
-                           log_weights=log_w, epsilon=epsilon)
+    """e^{-t x^2} proxy: q_{t/2,d,d'}(1 - 2x^2), with d and d' the schedule
+    of exp_poly_coeffs(t/2, epsilon)."""
+    coeffs = exp_poly_coeffs(t / 2.0, epsilon)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = exp_poly_eval(coeffs, 1.0 - 2.0 * xs ** 2)

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from lculab.analog import (
     analog_gsp,
@@ -36,11 +37,9 @@ from lculab.core_algebra import (
 from lculab.estimator import prepare
 from lculab.lcu_decomp import (
     LcuDecomposition,
-    TimeEvolution,
     chebyshev_power_eval,
     gaussian_lcu,
     inverse_lcu,
-    realize,
     realized_sum,
     scalar_function,
 )
@@ -121,25 +120,25 @@ def test_criterion_05_estimator_unbiasedness():
     amp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi0 = StateVector(amp / np.linalg.norm(amp))
     suite = [
-        LcuDecomposition(terms=((0.6, TimeEvolution(0.8)),
-                                (0.4, TimeEvolution(-1.3))),
-                         target_error=0.0),
-        LcuDecomposition(
-            terms=tuple((0.1 * (j + 1), TimeEvolution(0.2 * j - 1.0))
-                        for j in range(5)), target_error=0.0),
+        LcuDecomposition(coeffs=[0.6, 0.4], durations=[0.8, -1.3],
+                         phases=[1.0, 1.0], target_error=0.0),
+        LcuDecomposition(coeffs=[0.1 * (j + 1) for j in range(5)],
+                         durations=[0.2 * j - 1.0 for j in range(5)],
+                         phases=np.ones(5), target_error=0.0),
         gaussian_lcu(2.0, 0.05),
     ]
     for dec in suite:
-        assert len(dec.terms) <= 64
+        assert dec.n_terms <= 64
         prepared = prepare(dec, h)
         states = prepared.states(psi0)
-        c = np.array([cj for cj, _ in dec.terms])
+        c = dec.coeffs
         p = c / dec.l1_norm
         total = 0.0
         for j1 in range(len(c)):
             ov = np.conj(states) @ (o.entries @ states[j1])
             total += float(np.sum(p[j1] * p * np.real(ov)))
-        g = sum(cj * realize(u, h).entries for cj, u in dec.terms)
+        g = sum(cj * pj * expm(-1j * tau * h.entries)
+                for cj, tau, pj in zip(dec.coeffs, dec.durations, dec.phases))
         gpsi = g @ psi0.amplitudes
         exact = float(np.real(np.vdot(gpsi, o.entries @ gpsi)))
         assert abs(total - exact / dec.l1_norm ** 2) <= 1e-12

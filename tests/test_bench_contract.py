@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lculab import _kernels, analog, estimator, walks
+from lculab import _kernels, analog, estimator, lcu_decomp, walks
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -40,3 +40,19 @@ def test_traced_arguments_keep_their_positions():
     assert trials.index("n_trials") == 3
     evolve = list(inspect.signature(analog.evolve_bilinear).parameters)
     assert evolve.index("ancillas") == 2
+
+
+@pytest.mark.parametrize("build,args", [
+    (lcu_decomp.gaussian_lcu, (4.0, 1e-2)),
+    (lcu_decomp.inverse_lcu, (2.0, 1e-1)),
+])
+def test_build_note_reads_resolve(build, args):
+    # _note_build reads these attributes of every decomposition it sees
+    result = build(*args)
+    assert len(result.terms) == result.n_terms > 0
+    assert isinstance(result.l1_norm, float) and result.l1_norm > 0
+    assert isinstance(result.info, dict)
+    assert result.target_error == args[1]
+    note = tracer._note_build(args, {}, result, {}, {})
+    assert note["n_terms"] == result.n_terms
+    assert note["l1"] == result.l1_norm

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lculab._kernels import make_rng
 from lculab.core_algebra import (
@@ -18,11 +19,9 @@ from lculab.core_algebra import (
     plus_state,
 )
 from lculab.estimator import (
-    CostModel,
     EstimatorConfig,
     NormUnderflowError,
     PerturbedLcu,
-    PreparedProductLcu,
     ProductSampler,
     cost_summary,
     expectation_observable,
@@ -33,15 +32,11 @@ from lculab.estimator import (
     single_ancilla_lcu,
 )
 from lculab.lcu_decomp import (
-    Identity,
     LcuDecomposition,
     PauliProductRotation,
     SegmentLcu,
-    TimeEvolution,
-    WalkPower,
     gaussian_lcu,
     inverse_lcu,
-    realize,
 )
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -49,13 +44,20 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _identity_lcu():
-    return LcuDecomposition(terms=((1.0, Identity()),), target_error=0.0)
+    return LcuDecomposition(coeffs=[1.0], durations=[0.0], phases=[1.0],
+                            target_error=0.0)
 
 
 def _two_term_lcu():
-    return LcuDecomposition(
-        terms=((0.6, TimeEvolution(0.8, 1)), (0.4, TimeEvolution(-1.3, 1))),
-        target_error=0.0)
+    return LcuDecomposition(coeffs=[0.6, 0.4], durations=[0.8, -1.3],
+                            phases=[1.0, 1.0], target_error=0.0)
+
+
+def _term_matrices(dec, h):
+    """phase_j e^{-i d_j H} per term, by scipy's expm: a reference that
+    shares no code with the eigendecomposition the estimator uses."""
+    return [p * expm(-1j * tau * h.entries)
+            for tau, p in zip(dec.durations, dec.phases)]
 
 
 class TestRequiredRepetitions:
@@ -82,12 +84,14 @@ class TestRequiredRepetitions:
 
 class TestCostModel:
     def test_rules(self):
-        cm = CostModel()
-        assert cm.cost(TimeEvolution(-2.5, 1)) == 2.5
-        assert cm.cost(PauliProductRotation(paulis=(0, 1), rotation_index=0,
-                                            angle=0.3, phase=1)) == 3
-        assert cm.cost(WalkPower(4)) == 4.0
-        assert cm.cost(Identity()) == 0.0
+        h = ham_to_dense(parse_pauli_text("0.5*Z"))
+        dec = LcuDecomposition(coeffs=[0.5, 0.5], durations=[-2.5, 0.0],
+                               phases=[1.0, 1.0], target_error=0.0)
+        assert prepare(dec, h).costs.tolist() == [2.5, 0.0]
+        seg = SegmentLcu(parse_pauli_text("0.3*X+0.4*Z"), 1.0, 1, 4)
+        rot = PauliProductRotation(paulis=(0, 1), rotation_index=0,
+                                   angle=0.3, phase=1)
+        assert ProductSampler(seg).cost([rot]) == 3
 
     def test_analytic_vs_empirical_avg(self):
         h = parse_pauli_text("0.5*Z")
@@ -167,12 +171,12 @@ class TestEnumerationUnbiasedness:
         prepared = prepare(dec, h)
         states = prepared.states(psi0)
         total = 0.0
-        c = np.array([c for c, _ in dec.terms])
+        c = dec.coeffs
         for j1 in range(2):
             for j2 in range(2):
                 v = float(np.real(np.vdot(states[j2], o.entries @ states[j1])))
                 total += c[j1] * c[j2] / dec.l1_norm ** 2 * v
-        g = sum(cj * realize(u, h).entries for cj, u in dec.terms)
+        g = sum(cj * u for cj, u in zip(dec.coeffs, _term_matrices(dec, h)))
         exact = float(np.real(np.vdot(g @ psi0.amplitudes,
                                       o.entries @ (g @ psi0.amplitudes))))
         assert total == pytest.approx(exact / dec.l1_norm ** 2, abs=1e-12)
@@ -193,7 +197,7 @@ class TestExpectationObservable:
         dec = _two_term_lcu()
         psi0 = plus_state(1)
         o = DenseOperator(Z, hermitian=True)
-        g = sum(cj * realize(u, h).entries for cj, u in dec.terms)
+        g = sum(cj * u for cj, u in zip(dec.coeffs, _term_matrices(dec, h)))
         exact = float(np.real(np.vdot(g @ psi0.amplitudes,
                                       o.entries @ (g @ psi0.amplitudes))))
         t_reps, n_seeds = 1000, 100
@@ -246,8 +250,7 @@ def _enumerated_case(kind):
         return prepare(inverse_lcu(2.0, 5e-2), h2), basis_state(2, 1), o
     if kind == "product":
         seg = SegmentLcu(parse_pauli_text("0.3*X+0.4*Z"), 1.0, 1, 4)
-        flat = ProductSampler(seg).flatten()
-        return PreparedProductLcu(flat, seg), basis_state(1, 0), z
+        return ProductSampler(seg).flatten(), basis_state(1, 0), z
     pert = PerturbedLcu(_two_term_lcu(), h, 0.05, make_rng(0, 99))
     return pert, plus_state(1), DenseOperator(X, hermitian=True, unitary=True)
 
@@ -333,8 +336,8 @@ class TestStateBatchCache:
             if id(fresh) == freed:
                 break
             alive.append(fresh)
-        expected = np.stack([realize(u, h).entries @ fresh.amplitudes
-                             for _, u in _two_term_lcu().terms])
+        expected = np.stack([u @ fresh.amplitudes
+                             for u in _term_matrices(_two_term_lcu(), h)])
         assert np.allclose(prepared.states(fresh), expected, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ENUMERATED_KINDS)

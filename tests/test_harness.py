@@ -264,6 +264,160 @@ class TestTrace:
         assert len(lines) == 51
 
 
+# canonical reports as lculab 0.2.0 wrote them, one per estimator path and
+# decomposition kind: a refactor of the decompositions or the estimator must
+# keep every draw and every reported value bit-identical
+README_GSP = {"hamiltonian": "0.5*II-0.5*ZZ+0.1*XI", "observable": "1.0*ZI",
+              "gap": "1.0", "eta": "0.7", "e0": "-0.0099", "eg": "0.01",
+              "state": "basis:0", "seed": "3"}
+QLS_TRACE = {"hamiltonian": "0.75*ZZ+0.25*XX", "kappa": "2",
+             "observable": "1.0*ZI", "trace": True, "repetitions": "2000",
+             "seed": "3"}
+REPORT_GOLDEN = {
+    "qls-trace": (
+        "qls", QLS_TRACE,
+        '{"config": {"subcommand": "qls", "b_state": "zero", '
+        '"delta": 0.10000000000000001, "eps": 0.10000000000000001, '
+        '"hamiltonian": "0.75*ZZ+0.25*XX", "kappa": 2, '
+        '"mode": "expectation", "observable": "1.0*ZI", '
+        '"repetitions": 2000, "seed": 3, "trace": true}, '
+        '"results": {"mu": 2.2001092947009608, '
+        '"ell_tilde": 2.8772650897796406, "ratio": 0.76465296941737804, '
+        '"T_used": 4000, "tau_max": 36.767104344048278, '
+        '"avg_cost": 5.4560851486214927, '
+        '"empirical_std": 0.51002471442540287, "seed": 3, '
+        '"info": {"gamma": 0.0055555555555555558, "J": 1748, "K": 10, '
+        '"tau_max_formula": 36.788150196563471, '
+        '"c1": 6.7378574330285401, "kappa": 2}, "trace_rows": 2000}, '
+        '"timings": {}, "version": "0.2.0"}'
+    ),
+    "gsp-expectation": (
+        "gsp", {**README_GSP, "repetitions": "1000"},
+        '{"config": {"subcommand": "gsp", "delta": 0.10000000000000001, '
+        '"e0": -0.0099000000000000008, "eg": 0.01, '
+        '"eps": 0.10000000000000001, "eta": 0.69999999999999996, '
+        '"gap": 1, "hamiltonian": "0.5*II-0.5*ZZ+0.1*XI", '
+        '"mode": "expectation", "observable": "1.0*ZI", '
+        '"repetitions": 1000, "seed": 3, "state": "basis:0", '
+        '"trace": false}, "results": {"mu": 0.97047670842848799, '
+        '"ell_tilde": 0.98915922399498646, "ratio": 0.98111273178948477, '
+        '"T_used": 2000, "tau_max": 12.051482666191799, '
+        '"avg_cost": 2.5716817296763468, '
+        '"empirical_std": 0.00063673397450460245, "seed": 3, '
+        '"info": {"t": 5.216926697975147, '
+        '"gamma": 0.0016333333333333332, "M": 27, '
+        '"delta_t": 0.13818291537667299, '
+        '"tau_max_formula": 12.051482666191799, '
+        '"beta_rescale": 1.1199000000000001, '
+        '"c1": 0.99985707541914881}}, "timings": {}, '
+        '"version": "0.2.0"}'
+    ),
+    "gsp-shot": (
+        "gsp", {**README_GSP, "mode": "shot", "repetitions": "200"},
+        '{"config": {"subcommand": "gsp", "delta": 0.10000000000000001, '
+        '"e0": -0.0099000000000000008, "eg": 0.01, '
+        '"eps": 0.10000000000000001, "eta": 0.69999999999999996, '
+        '"gap": 1, "hamiltonian": "0.5*II-0.5*ZZ+0.1*XI", '
+        '"mode": "shot", "observable": "1.0*ZI", "repetitions": 200, '
+        '"seed": 3, "state": "basis:0", "trace": false}, '
+        '"results": {"mu": 0.97971988784041875, '
+        '"ell_tilde": 0.98921154587326243, "ratio": 0.99040482486032388, '
+        '"T_used": 400, "tau_max": 12.051482666191799, '
+        '"avg_cost": 2.5716817296763468, '
+        '"empirical_std": 0.014067225312670862, "seed": 3, '
+        '"info": {"t": 5.216926697975147, '
+        '"gamma": 0.0016333333333333332, "M": 27, '
+        '"delta_t": 0.13818291537667299, '
+        '"tau_max_formula": 12.051482666191799, '
+        '"beta_rescale": 1.1199000000000001, '
+        '"c1": 0.99985707541914881}}, "timings": {}, '
+        '"version": "0.2.0"}'
+    ),
+    "hamsim-flattened": (
+        "hamsim", {"hamiltonian": "0.3*X+0.4*Z", "t": "1.0",
+                   "observable": "1.0*Z", "eps": "0.05", "delta": "0.05",
+                   "seed": "1"},
+        '{"config": {"subcommand": "hamsim", '
+        '"delta": 0.050000000000000003, "eps": 0.050000000000000003, '
+        '"hamiltonian": "0.3*X+0.4*Z", "mode": "expectation", '
+        '"observable": "1.0*Z", "seed": 1, "state": "zero", "t": 1, '
+        '"trace": false}, "results": {"mu": 0.82030893186120446, '
+        '"ell_tilde": 1, "ratio": 0.82030893186120446, "T_used": 56995, '
+        '"tau_max": 5, "avg_cost": 1.366697009073826, '
+        '"empirical_std": 0.0055284671934804535, "seed": 1, '
+        '"info": {"r": 1, "K": 4, "c1": 1.4823383494032227, '
+        '"gamma": 0.0083333333333333332, "tau_max_bound": 5, '
+        '"flattened": true}}, "timings": {}, "version": "0.2.0"}'
+    ),
+    "decomp-check-gaussian": (
+        "decomp-check", {"kind": "gaussian", "t": "25", "gamma": "1e-3",
+                         "hamiltonian": "0.5*Z"},
+        '{"config": {"subcommand": "decomp-check", '
+        '"delta": 0.10000000000000001, "eps": 0.10000000000000001, '
+        '"gamma": 0.001, "hamiltonian": "0.5*Z", "kappa": 10, '
+        '"kind": "gaussian", "mode": "expectation", "seed": 0, "t": 25, '
+        '"trace": false}, "results": {"kind": "gaussian", '
+        '"params": {"t": 25, "gamma": 0.001}, '
+        '"l1_norm": 0.99985322628054418, "n_terms": 85, '
+        '"scalar_sup_error": 0.00014675873625935587, '
+        '"tau_max": 26.520431941187621, '
+        '"matrix_sup_error": 4.3136123133733287e-07}, "timings": {}, '
+        '"version": "0.2.0"}'
+    ),
+    "decomp-check-inverse": (
+        "decomp-check", {"kind": "inverse", "kappa": "2", "gamma": "1e-1",
+                         "hamiltonian": "0.75*Z+0.25*X"},
+        '{"config": {"subcommand": "decomp-check", '
+        '"delta": 0.10000000000000001, "eps": 0.10000000000000001, '
+        '"gamma": 0.10000000000000001, "hamiltonian": "0.75*Z+0.25*X", '
+        '"kappa": 2, "kind": "inverse", "mode": "expectation", '
+        '"seed": 0, "t": 1, "trace": false}, '
+        '"results": {"kind": "inverse", "params": {"kappa": 2, '
+        '"gamma": 0.10000000000000001}, "l1_norm": 4.7992403009160123, '
+        '"n_terms": 1120, "scalar_sup_error": 0.022781281854812097, '
+        '"tau_max": 18.723326709712445, '
+        '"matrix_sup_error": 0.0023366605748191666}, "timings": {}, '
+        '"version": "0.2.0"}'
+    ),
+}
+
+QLS_TRACE_HEAD = (
+    'index,term_ids,value,cost\r\n'
+    '0,25758|13857,-0.35287775808865895,23.767081245411401\r\n'
+    '1,17248|22392,0.12593826881383302,12.130829389759258\r\n'
+    '2,19781|15856,0.31496642981127509,2.5886398593691693\r\n'
+    '3,5433|13579,0.4045234488564402,11.263740266133164\r\n'
+    '4,20185|13856,0.0062013337015200398,14.256460493794105\r\n'
+    '5,20033|12565,0.54483328006998277,5.4656078981965299\r\n'
+    '6,18739|22047,0.7036344284403111,9.411705244795872\r\n'
+    '7,27500|13207,-0.42700656044791419,22.293871569347644\r\n'
+    '8,23847|16524,-0.17165288785415439,11.120628469029828\r\n'
+    '9,10545|26351,0.028463990244899338,2.1340494450409246\r\n'
+    '10,16493|17310,0.092585981855086305,4.9226249033044596\r\n'
+    '11,16873|26534,-0.057644556209373227,6.36637038584694\r\n'
+    '12,23066|21387,0.19636873619936357,5.4740262392026082\r\n'
+    '13,20304|19997,-0.20503174036309108,7.7659195781075061\r\n'
+    '14,21707|7855,-0.00014886933253394075,15.512897888951336\r\n'
+    '15,14250|19468,0.02657080020508483,2.1298402745378855\r\n'
+    '16,25035|22270,0.10499863909153512,14.094407429427092\r\n'
+    '17,19300|12276,-0.91435348273639461,0.55561050640118737\r\n'
+    '18,21313|13224,-0.51688548220785069,8.3657263747906043\r\n'
+)
+
+
+class TestReportGolden:
+    @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+    def test_canonical_report(self, name):
+        sub, flags, expected = REPORT_GOLDEN[name]
+        assert run(parse_config(sub, dict(flags))).canonical_json() == expected
+
+    def test_qls_trace_head(self):
+        from lculab.harness import run_with_records
+        _, records = run_with_records(parse_config("qls", dict(QLS_TRACE)))
+        head = "".join(trace_csv(records).splitlines(keepends=True)[:20])
+        assert head == QLS_TRACE_HEAD
+
+
 class TestCli:
     def test_success_writes_report(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lculab.core_algebra import (
     DenseOperator,
     PauliHamiltonian,
     PauliString,
+    ham_to_dense,
     matrix_function,
     parse_pauli_text,
 )
 from lculab.lcu_decomp import (
-    Identity,
     LcuDecomposition,
     SegmentLcu,
-    TimeEvolution,
-    WalkPower,
+    apply_pauli_rotation,
     chebyshev_power_coeffs,
     chebyshev_power_eval,
     exp_poly_coeffs,
@@ -25,10 +25,10 @@ from lculab.lcu_decomp import (
     gaussian_lcu,
     gaussian_poly_eval,
     inverse_lcu,
-    realize,
     realized_sum,
     scalar_function,
     taylor_truncation_order,
+    term_unitaries,
 )
 
 
@@ -43,7 +43,7 @@ class TestGaussianLcu:
     def test_center_coefficient(self):
         dec = gaussian_lcu(25.0, 1e-3)
         delta_t = dec.info["delta_t"]
-        center = [c for c, u in dec.terms if u.duration == 0.0]
+        center = dec.coeffs[dec.durations == 0.0]
         assert len(center) == 1
         assert center[0] == pytest.approx(delta_t / math.sqrt(2 * math.pi))
 
@@ -67,14 +67,15 @@ class TestGaussianLcu:
 
     def test_coefficients_positive_and_l1_exact(self):
         dec = gaussian_lcu(10.0, 1e-2)
-        coeffs = [c for c, _ in dec.terms]
+        coeffs = dec.coeffs.tolist()
         assert all(c > 0 for c in coeffs)
         assert dec.l1_norm == sum(coeffs)
 
     def test_reproducible(self):
         a = gaussian_lcu(7.0, 1e-3)
         b = gaussian_lcu(7.0, 1e-3)
-        assert a.terms == b.terms
+        for name in ("coeffs", "durations", "phases"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ class TestInverseLcu:
             math.log(kappa / gamma))
 
     def test_tau_max_reported(self, dec10):
-        durations = [abs(u.duration) for _, u in dec10.terms]
+        durations = np.abs(dec10.durations)
         assert max(durations) <= dec10.info["tau_max"] + 1e-9
 
 
@@ -119,11 +120,12 @@ class TestTaylorSegment:
     def test_exhaustive_realization(self):
         h = parse_pauli_text("0.3*X+0.4*Z")
         seg = SegmentLcu(h, 1.0, 1, 8)
-        from lculab.core_algebra import ham_to_dense
         hd = ham_to_dense(h)
         acc = np.zeros((2, 2), dtype=complex)
         for coef, desc in seg.enumerate_terms():
-            acc += coef * realize(desc, h).entries
+            acc += coef * np.stack([apply_pauli_rotation(desc, h, col)
+                                    for col in np.eye(2, dtype=complex)],
+                                   axis=1)
         target = matrix_function(hd, lambda x: np.exp(-1j * x)).entries
         assert np.linalg.norm(acc - target, 2) <= 1e-6
 
@@ -203,28 +205,49 @@ class TestGaussianPoly:
 
 class TestRealize:
     def test_identity(self):
-        h = parse_pauli_text("0.5*Z")
-        assert np.allclose(realize(Identity(), h).entries, np.eye(2))
+        h = ham_to_dense(parse_pauli_text("0.5*Z"))
+        dec = LcuDecomposition(coeffs=[1.0], durations=[0.0], phases=[1.0],
+                               target_error=0.0)
+        assert np.allclose(realized_sum(dec, h), np.eye(2))
 
     def test_zero_time_evolution(self):
-        h = parse_pauli_text("0.5*Z")
-        assert np.allclose(realize(TimeEvolution(0.0, 1), h).entries,
-                           np.eye(2))
+        h = ham_to_dense(parse_pauli_text("0.5*Z"))
+        dec = LcuDecomposition(coeffs=[1.0], durations=[0.0], phases=[1.0],
+                               target_error=0.0)
+        assert np.allclose(next(term_unitaries(dec, h)), np.eye(2))
 
-    def test_walk_power_square(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((4, 4))
-        q, _ = np.linalg.qr(m)
-        v = DenseOperator(q, unitary=True)
-        out = realize(WalkPower(2), v)
-        assert np.allclose(out.entries, q @ q)
+    def test_against_expm(self):
+        rng = np.random.default_rng(4)
+        hd = _random_unit_hermitian(rng, 4)
+        dec = LcuDecomposition(coeffs=[0.5, 0.3, 0.2],
+                               durations=[1.7, -0.4, 6.0],
+                               phases=[1.0, 1j, -1j], target_error=0.0)
+        refs = [p * expm(-1j * tau * hd.entries)
+                for tau, p in zip(dec.durations, dec.phases)]
+        for u, ref in zip(term_unitaries(dec, hd), refs):
+            assert np.allclose(u, ref, rtol=0, atol=1e-12)
+        expected = sum(c * ref for c, ref in zip(dec.coeffs, refs))
+        assert np.allclose(realized_sum(dec, hd), expected, rtol=0,
+                           atol=1e-12)
 
 
 class TestDecompositionInvariants:
     def test_positive_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            LcuDecomposition(terms=((-0.5, TimeEvolution(1.0, 1)),),
+            LcuDecomposition(coeffs=[-0.5], durations=[1.0], phases=[1.0],
                              target_error=0.1)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            LcuDecomposition(coeffs=[0.5, 0.5], durations=[1.0],
+                             phases=[1.0, 1.0], target_error=0.1)
+
+    def test_arrays_read_only(self):
+        dec = gaussian_lcu(4.0, 1e-2)
+        for a in (dec.coeffs, dec.durations, dec.phases, dec.terms):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert len(dec.terms) == dec.n_terms
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gaussian_operator_bound_random(self, seed):

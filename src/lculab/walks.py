@@ -1,10 +1,11 @@
 """Markov chains, quantum walk operators, and randomized spatial search.
 
-The edge space is ordered |y, x> -> index y*n + x; the walk is built from
-the column isometry U_P |0>|x> = sum_y sqrt(p_xy) |y, x>, completed to a
-full unitary deterministically.  Walk powers block-encode Chebyshev
-polynomials of the discriminant, which the two search algorithms sample
-through truncated power / exponential mixtures.
+The edge space is ordered |y, x> -> index y*n + x; the walk starts from
+the column isometry A|x> = sum_y sqrt(p_xy) |y, x> and steps by
+(2 A A^T - I) S, with S the register swap, without forming any n^2 x n^2
+matrix.  Walk powers block-encode Chebyshev polynomials of the
+discriminant, which the two search algorithms sample through truncated
+power / exponential mixtures.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import make_rng
-from .core_algebra import DenseOperator, StateVector
+from .core_algebra import UNITARY_TOL, DenseOperator, StateVector
 from .lcu_decomp import chebyshev_power_coeffs
 
 MAX_NODES = 64
@@ -139,38 +140,42 @@ def hitting_time(c: MarkovChain, marked) -> float:
 # walk operators
 
 class WalkOperator:
-    """U_P, U_D = U_P^dag S U_P, and V = R U_D on the n^2 edge space."""
+    """The Szegedy walk W = (2 Pi - I) S of an interpolated chain, applied
+    matrix-free on the n^2 edge space.
+
+    A state is the edge vector chi reshaped to an n x n array chi[y, x].  S
+    swaps the two registers (a transpose), A|x> = sum_y sqrt(p_xy) |y, x> is
+    the start isometry and Pi = A A^T projects onto its range.  With U_P the
+    unitary completion of A and V = R U_P^dag S U_P the dense walk,
+    U_P V U_P^dag = W, so W^e A|psi> = U_P V^e |0>|psi>.  U_P maps each
+    x-block to itself, so node marginals and marked weights agree with
+    those of V^e |0>|psi>.  One step costs O(n^2)."""
 
     def __init__(self, chain: InterpolatedChain):
         self.chain = chain
-        n = chain.n
-        self.n = n
-        ps = chain.matrix()
-        cols = np.zeros((n * n, n))
-        for x in range(n):
-            for y in range(n):
-                cols[y * n + x, x] = math.sqrt(ps[x, y])
-        # deterministic completion: QR of [prescribed | I] with signs fixed
-        big = np.concatenate([cols, np.eye(n * n)], axis=1)
-        q, r = np.linalg.qr(big)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        u_p = q * signs[None, :]
-        self.u_p = DenseOperator(u_p, unitary=True)
-        swap = np.zeros((n * n, n * n))
-        for x in range(n):
-            for y in range(n):
-                swap[x * n + y, y * n + x] = 1.0
-        self.swap = swap
-        u_d = u_p.T.conj() @ swap @ u_p
-        self.u_d = DenseOperator(u_d, unitary=True)
-        refl = np.kron(2 * np.outer(_e(n, 0), _e(n, 0)) - np.eye(n), np.eye(n))
-        self.v = DenseOperator(refl @ u_d, unitary=True)
+        self.n = chain.n
+        # sqrt_pt[y, x] = sqrt(p_xy): column x is A|x> in the y slot
+        self.sqrt_pt = np.sqrt(chain.matrix()).T
+        # A^T A is diagonal with the row sums of P(s), so A is an isometry
+        # exactly when every row sums to one
+        if np.max(np.abs((self.sqrt_pt ** 2).sum(axis=0) - 1.0)) > UNITARY_TOL:
+            raise ValueError("walk start map fails the isometry check")
         self.d = discriminant(chain)
 
-    def block(self, m: np.ndarray) -> np.ndarray:
-        """(<0|(x)I) M (|0>(x)I): the top-left n x n node block."""
-        return m[: self.n, : self.n]
+    def start(self, psi0: StateVector) -> np.ndarray:
+        """A|psi> = U_P |0>|psi> as an n x n array, for an edge state
+        |0>|psi> (as `edge_zero_state` builds it)."""
+        amp = psi0.amplitudes.reshape(self.n, self.n)
+        if np.any(amp[1:] != 0):
+            raise ValueError("expected an edge state |0>|psi>")
+        return self.sqrt_pt * amp[0]
+
+    def step(self, chi: np.ndarray) -> np.ndarray:
+        """W chi = 2 A (A^T S chi) - S chi, for chi[..., y, x] (a stack of
+        edge states over the leading axes)."""
+        swapped = np.swapaxes(chi, -1, -2)
+        coeffs = (self.sqrt_pt * swapped).sum(axis=-2)
+        return 2.0 * self.sqrt_pt * coeffs[..., None, :] - swapped
 
 
 def _e(n: int, i: int) -> np.ndarray:
@@ -194,11 +199,16 @@ def node_marginal(state: StateVector, n: int) -> np.ndarray:
 
 
 def chebyshev_block_check(w: WalkOperator, t: int) -> float:
-    """|top-left block of V^t - T_t(D)|."""
-    vt = np.linalg.matrix_power(w.v.entries, t)
+    """|A^T W^t A - T_t(D)|: the node block of the walk the search runs,
+    by t steps on the n start columns A|x>."""
+    n = w.n
+    cols = w.sqrt_pt[None, :, :] * np.eye(n)[:, None, :]
+    for _ in range(t):
+        cols = w.step(cols)
+    block = (w.sqrt_pt[None, :, :] * cols).sum(axis=1).T
     xs_evals, xs_evecs = np.linalg.eigh(w.d.entries)
     tt = (xs_evecs * np.cos(t * np.arccos(np.clip(xs_evals, -1, 1)))) @ xs_evecs.conj().T
-    return float(np.linalg.norm(w.block(vt) - tt, 2))
+    return float(np.linalg.norm(block - tt, 2))
 
 
 def build_hp(u_h: DenseOperator) -> DenseOperator:
@@ -266,16 +276,19 @@ def _branches(t: float, d: int, dprime: int | None = None) -> list[tuple[float, 
 
 def pow_ham_enumeration(t: int, d: int, w: WalkOperator, psi0: StateVector,
                         cache: "_PowerCache | None" = None):
-    """All (probability, exponent, V^e psi0) branches of the mixture."""
+    """All (probability, exponent, U_P V^e psi0) branches of the mixture,
+    for psi0 = |0>|psi>; each state is the n^2 edge vector W^e A|psi>."""
     cache = cache or _PowerCache(w, psi0)
-    return [(pr, e, cache.state(e)) for pr, e in _branches(t, d)]
+    return [(pr, e, cache.state(e).ravel()) for pr, e in _branches(t, d)]
 
 
 def exp_ham_enumeration(t: float, d: int, dprime: int, w: WalkOperator,
                         psi0: StateVector, cache: "_PowerCache | None" = None):
-    """All (probability, exponent, state) branches of the nested mixture."""
+    """All (probability, exponent, U_P V^e psi0) branches of the nested
+    mixture, for psi0 = |0>|psi>; each state is the n^2 edge vector
+    W^e A|psi>."""
     cache = cache or _PowerCache(w, psi0)
-    return [(pr, e, cache.state(e)) for pr, e in _branches(t, d, dprime)]
+    return [(pr, e, cache.state(e).ravel()) for pr, e in _branches(t, d, dprime)]
 
 
 def exp_ham_l1(t: float, d: int) -> float:
@@ -318,17 +331,18 @@ def _pi_states(c: MarkovChain, marked: frozenset):
 
 
 class _PowerCache:
-    """V^e |psi> for increasing e by repeated matrix-vector products; keeps
-    the walk's discriminant D for the exact drift."""
+    """W^e A|psi> = U_P V^e |0>|psi> as n x n arrays, for increasing e by
+    repeated walk steps; keeps the walk's discriminant D for the exact
+    drift."""
 
-    def __init__(self, w: WalkOperator, psi: StateVector):
-        self.v = w.v.entries
+    def __init__(self, w: WalkOperator, psi0: StateVector):
+        self.step = w.step
         self.d = w.d.entries
-        self.states = [psi.amplitudes.astype(complex)]
+        self.states = [w.start(psi0)]
 
     def state(self, e: int) -> np.ndarray:
         while len(self.states) <= e:
-            self.states.append(self.v @ self.states[-1])
+            self.states.append(self.step(self.states[-1]))
         return self.states[e]
 
 
@@ -362,14 +376,21 @@ class _SearchSchedule:
             self.dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
             self.eps = 48.0 * log2t ** 2 * math.exp(-self.dprime ** 2 / (2.0 * big_t))
         self._powers: dict[float, _PowerCache] = {}
+        self._steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def steps(self, x: int):
         """(exponents, probabilities) of the walk-power mixture for the
-        monomial of degree x: t (algo 1) or the Poisson draw l (algo 2)."""
-        return _power_support(x, self.d if self.algo == 1 else self.dprime)
+        monomial of degree x: t (algo 1) or the Poisson draw l (algo 2).
+        Computed once per x; the arrays are read-only."""
+        if x not in self._steps:
+            exps, probs = _power_support(x, self.d if self.algo == 1 else self.dprime)
+            exps.setflags(write=False)
+            probs.setflags(write=False)
+            self._steps[x] = exps, probs
+        return self._steps[x]
 
     def walk_powers(self, s: float) -> _PowerCache:
-        """V(s)^e |0>|sqrt(pi_U)>, one walk per interpolation value."""
+        """U_P V(s)^e |0>|sqrt(pi_U)>, one walk per interpolation value."""
         if s not in self._powers:
             w = WalkOperator(InterpolatedChain(self.chain, self.marked, s))
             self._powers[s] = _PowerCache(w, edge_zero_state(self.sqrt_pi_u))
@@ -377,9 +398,9 @@ class _SearchSchedule:
 
     def marked_weights(self, s: float, max_e: int) -> np.ndarray:
         """Marked-node weight of V(s)^e |0>|sqrt(pi_U)> for e = 0..max_e."""
-        pc, n = self.walk_powers(s), self.chain.n
+        pc = self.walk_powers(s)
         return np.array([
-            float((np.abs(pc.state(e).reshape(n, n)) ** 2)[:, self.marked_idx].sum())
+            float((np.abs(pc.state(e)) ** 2)[:, self.marked_idx].sum())
             for e in range(max_e + 1)])
 
 
@@ -420,7 +441,7 @@ def _run_search(sch: _SearchSchedule, rng) -> SearchOutcome:
     exps, probs = sch.steps(x)
     steps = int(rng.choice(exps, p=probs))
     n = sch.chain.n
-    node_probs = np.maximum(node_marginal(StateVector(pc.state(steps)), n), 0)
+    node_probs = np.maximum(node_marginal(StateVector(pc.state(steps).ravel()), n), 0)
     node = int(rng.choice(n, p=node_probs / node_probs.sum()))
     return SearchOutcome(node in sch.marked, node, s, t, steps)
 
@@ -429,8 +450,7 @@ def run_search_trials(c: MarkovChain, marked, config: SearchConfig,
                       n_trials: int, algo: int) -> list[SearchOutcome]:
     """Independent search trials on one schedule: the hitting time is solved
     once, and the walk powers are shared across the (few) distinct
-    interpolation values, so repeated trials cost matrix-vector products
-    only."""
+    interpolation values, so repeated trials cost O(n^2) walk steps only."""
     rng = make_rng(config.master_seed, 40 + algo)
     sch = _SearchSchedule(c, marked, config, algo)
     return [_run_search(sch, rng) for _ in range(n_trials)]
@@ -462,9 +482,19 @@ def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,
     if algo == 1:
         max_e = sch.d
     else:
-        # inner exponent distributions depend only on the Poisson draw
+        # inner exponent distributions depend only on the Poisson draw, and
+        # each t's mixture over exponents is the same for every r
         inner = [sch.steps(ell) for ell in range(sch.d + 1)]
         max_e = max(int(exps[-1]) for exps, _ in inner)
+        mixes = []
+        for t in ts:
+            mix = np.zeros(max_e + 1)
+            for ell, po in enumerate(_poisson(t, sch.d)):
+                if po == 0.0:
+                    continue
+                exps, probs = inner[ell]
+                mix[exps] += po * probs
+            mixes.append(mix)
     walk_total = 0.0
     for r in sch.r_set:
         mw = sch.marked_weights(1.0 - 1.0 / r, max_e)
@@ -473,13 +503,7 @@ def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,
                 exps, probs = sch.steps(int(t))
                 walk_total += float(probs @ mw[exps])
             else:
-                mix = np.zeros(max_e + 1)
-                for ell, po in enumerate(_poisson(t, sch.d)):
-                    if po == 0.0:
-                        continue
-                    exps, probs = inner[ell]
-                    mix[exps] += po * probs
-                walk_total += float(mix @ mw)
+                walk_total += float(mixes[t] @ mw)
     walk_avg = walk_total / (len(sch.r_set) * len(ts))
     return sch.pi_m + (1 - sch.pi_m) * walk_avg
 

@@ -61,6 +61,7 @@ from lculab.walks import (
     run_search_trials,
     theorem1_slack,
 )
+from walk_oracle import DenseWalk
 
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 ZI = DenseOperator(np.kron(Z2, np.eye(2)), hermitian=True, unitary=True)
@@ -321,14 +322,15 @@ def test_criterion_13_sampling_projection_bound():
 def test_criterion_14_walk_identities():
     c = lazy(cycle_chain(8))
     w = WalkOperator(InterpolatedChain(c, frozenset({0}), 0.5))
-    ud = w.u_d.entries
+    dense = DenseWalk(w.chain)
+    ud = dense.u_d.entries
     assert np.linalg.norm(ud @ ud - np.eye(64), 2) <= 1e-12
     for t in range(8):
         assert chebyshev_block_check(w, t) <= 1e-9
-    hp = build_hp(w.u_d)
+    hp = build_hp(dense.u_d)
     sq = hp.entries @ hp.entries
     d = w.d.entries
-    assert np.linalg.norm(w.block(sq) - (np.eye(8) - d @ d), 2) <= 1e-10
+    assert np.linalg.norm(dense.block(sq) - (np.eye(8) - d @ d), 2) <= 1e-10
 
 
 def test_criterion_15_spatial_search_agreement():

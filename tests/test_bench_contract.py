@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lculab import _kernels, analog, estimator, lcu_decomp, walks
+from lculab import _kernels, analog, core_algebra, estimator, lcu_decomp, walks
+from lculab.harness import parse_config, run
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -56,3 +57,25 @@ def test_build_note_reads_resolve(build, args):
     note = tracer._note_build(args, {}, result, {}, {})
     assert note["n_terms"] == result.n_terms
     assert note["l1"] == result.l1_norm
+
+
+def test_walks_search_op_reaches_traced_layers(monkeypatch):
+    # walks.build_walk and core_algebra.spectral_norm are required layers on
+    # walks-search: an op must still call both, or their metrics read zero
+    calls = {"build": 0, "norm": 0}
+    init, norm = walks.WalkOperator.__init__, core_algebra.spectral_norm
+
+    def counted_init(self, *args, **kwargs):
+        calls["build"] += 1
+        return init(self, *args, **kwargs)
+
+    def counted_norm(*args, **kwargs):
+        calls["norm"] += 1
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(walks.WalkOperator, "__init__", counted_init)
+    monkeypatch.setattr(core_algebra, "spectral_norm", counted_norm)
+    run(parse_config("walks-search", {"graph": "cycle:6", "marked": "0",
+                                      "trials": "20"}))
+    assert calls["build"] >= 1
+    assert calls["norm"] >= 1

@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lculab import cli
+from lculab import __version__, cli
 from lculab.harness import (
     ConfigError,
     dumps_17g,
@@ -20,6 +21,15 @@ from lculab.harness import (
 )
 
 SCHEMA = json.load(open("docs/report_schema.json"))
+
+
+def _without_version(text: str) -> str:
+    """Canonical report text with its `version` field removed, so a version
+    bump leaves a golden comparison otherwise byte for byte."""
+    head, sep, tail = text.rpartition(', "version": "')
+    assert sep and tail.endswith('"}') and '"' not in tail[:-2]
+    return head + "}"
+
 
 HAMSIM_FLAGS = {"hamiltonian": "0.5*Z+0.3*X", "t": "1.0",
                 "observable": "1.0*Z", "repetitions": "500"}
@@ -148,8 +158,9 @@ class TestRunReports:
         assert r["theorem1_slack"] >= 0
         validate_report(json.loads(rep.to_json()), SCHEMA)
 
-    # canonical reports as lculab 0.2.0 wrote them: a refactor of the
-    # search must keep the walk draws and every reported value bit-identical
+    # canonical reports as lculab 0.2.0 wrote them with the dense walk.  The
+    # matrix-free walk of 0.3.0 keeps the draws and every other field exact;
+    # the two oracle values come from walk states that agree to rounding.
     WALKS_GOLDEN = {
         ("cycle:6", "1"): (
             '{"config": {"subcommand": "walks-search", "algo": 1, '
@@ -180,7 +191,31 @@ class TestRunReports:
         rep = run(parse_config("walks-search",
                                {"graph": graph, "marked": "0", "algo": algo,
                                 "seed": "3", "trials": "60"}))
-        assert rep.canonical_json() == self.WALKS_GOLDEN[(graph, algo)]
+        got = json.loads(_without_version(rep.canonical_json()))
+        want = json.loads(_without_version(self.WALKS_GOLDEN[(graph, algo)]))
+        for key in ("oracle_success", "theorem1_slack"):
+            assert abs(got["results"].pop(key) - want["results"].pop(key)) \
+                <= 1e-14
+        assert got == want
+
+    def test_walks_search_at_node_cap(self):
+        # 60 trials: Hoeffding at delta = 1e-6 bounds |empirical - oracle|
+        start = time.monotonic()
+        for graph, algo in (("cycle:64", "1"), ("complete:64", "1"),
+                            ("complete:64", "2")):
+            r = run(parse_config("walks-search",
+                                 {"graph": graph, "marked": "0", "algo": algo,
+                                  "trials": "60"})).results
+            assert r["theorem1_slack"] >= 0, graph
+            assert abs(r["empirical_success"] - r["oracle_success"]) \
+                <= math.sqrt(math.log(2 / 1e-6) / 120), graph
+        assert time.monotonic() - start < 60.0
+
+    @pytest.mark.parametrize("graph", ["cycle:65", "complete:65"])
+    def test_walks_search_beyond_node_cap_rejected(self, graph, capsys):
+        code = cli.main(["walks-search", "--graph", graph, "--marked", "0"])
+        assert code == 3
+        assert "capped at 64 nodes" in capsys.readouterr().err
 
     def test_decomp_check_report(self):
         rep = run(parse_config("decomp-check",
@@ -266,7 +301,8 @@ class TestTrace:
 
 # canonical reports as lculab 0.2.0 wrote them, one per estimator path and
 # decomposition kind: a refactor of the decompositions or the estimator must
-# keep every draw and every reported value bit-identical
+# keep every draw and every reported value bit-identical (the version field
+# is compared apart)
 README_GSP = {"hamiltonian": "0.5*II-0.5*ZZ+0.1*XI", "observable": "1.0*ZI",
               "gap": "1.0", "eta": "0.7", "e0": "-0.0099", "eg": "0.01",
               "state": "basis:0", "seed": "3"}
@@ -409,7 +445,9 @@ class TestReportGolden:
     @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
     def test_canonical_report(self, name):
         sub, flags, expected = REPORT_GOLDEN[name]
-        assert run(parse_config(sub, dict(flags))).canonical_json() == expected
+        got = run(parse_config(sub, dict(flags))).canonical_json()
+        assert json.loads(got)["version"] == __version__
+        assert _without_version(got) == _without_version(expected)
 
     def test_qls_trace_head(self):
         from lculab.harness import run_with_records

@@ -31,6 +31,7 @@ from lculab.walks import (
     run_search_trials,
     theorem1_slack,
 )
+from walk_oracle import DenseWalk
 
 
 def _two_cycle():
@@ -143,11 +144,16 @@ def walk_c4():
     return WalkOperator(InterpolatedChain(c, frozenset({0}), 0.5))
 
 
+@pytest.fixture(scope="module")
+def dense_c4(walk_c4):
+    return DenseWalk(walk_c4.chain)
+
+
 class TestWalkOperator:
-    def test_up_columns(self, walk_c4):
-        n = walk_c4.n
-        ps = walk_c4.chain.matrix()
-        up = walk_c4.u_p.entries
+    def test_up_columns(self, dense_c4):
+        n = dense_c4.n
+        ps = dense_c4.chain.matrix()
+        up = dense_c4.u_p.entries
         for x in range(n):
             col = up[:, x]
             expected = np.zeros(n * n)
@@ -155,17 +161,17 @@ class TestWalkOperator:
                 expected[y * n + x] = math.sqrt(ps[x, y])
             assert np.allclose(col, expected, atol=1e-12)
 
-    def test_ud_involutory(self, walk_c4):
-        ud = walk_c4.u_d.entries
+    def test_ud_involutory(self, dense_c4):
+        ud = dense_c4.u_d.entries
         assert np.linalg.norm(ud @ ud - np.eye(ud.shape[0]), 2) <= 1e-12
 
-    def test_ud_block_is_discriminant(self, walk_c4):
-        assert np.allclose(walk_c4.block(walk_c4.u_d.entries),
+    def test_ud_block_is_discriminant(self, walk_c4, dense_c4):
+        assert np.allclose(dense_c4.block(dense_c4.u_d.entries),
                            walk_c4.d.entries, atol=1e-12)
 
     def test_ud_block_lazy_two_cycle(self):
         c = lazy(_two_cycle())
-        w = WalkOperator(InterpolatedChain(c, frozenset({0}), 0.0))
+        w = DenseWalk(InterpolatedChain(c, frozenset({0}), 0.0))
         assert np.allclose(w.block(w.u_d.entries),
                            [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
@@ -173,19 +179,70 @@ class TestWalkOperator:
     def test_chebyshev_block(self, walk_c4, t):
         assert chebyshev_block_check(walk_c4, t) <= 1e-9
 
-    def test_v_spectrum_conjugate_closed(self, walk_c4):
-        ev = np.linalg.eigvals(walk_c4.v.entries)
+    def test_v_spectrum_conjugate_closed(self, dense_c4):
+        ev = np.linalg.eigvals(dense_c4.v.entries)
         for lam in ev:
             assert np.min(np.abs(ev - np.conj(lam))) <= 1e-8
 
-    def test_v_eigenphases_match_discriminant(self, walk_c4):
+    def test_v_eigenphases_match_discriminant(self, dense_c4):
         # each discriminant eigenvalue x contributes phases e^{+-i arccos x}
-        phases = np.angle(np.linalg.eigvals(walk_c4.v.entries))
-        d_evals = np.linalg.eigvalsh(walk_c4.d.entries)
+        phases = np.angle(np.linalg.eigvals(dense_c4.v.entries))
+        d_evals = np.linalg.eigvalsh(dense_c4.d.entries)
         for x in d_evals:
             theta = math.acos(min(1.0, max(-1.0, x)))
             assert np.min(np.abs(np.exp(1j * phases) - np.exp(1j * theta))) \
                 <= 1e-8
+
+
+class TestDenseOracle:
+    """The matrix-free walk against the dense V^e |0>|psi> of walk_oracle:
+    U_P maps each x-block to itself, so node marginals and marked weights
+    agree for every power."""
+
+    CHAINS = {
+        "cycle:4": lambda: cycle_chain(4),
+        "cycle:8": lambda: cycle_chain(8),
+        "cycle:12": lambda: cycle_chain(12),
+        "complete:4": lambda: complete_chain(4),
+        "complete:6": lambda: complete_chain(6),
+        "complete:9": lambda: complete_chain(9),
+        "random:7": lambda: _random_reversible(np.random.default_rng(11), 7),
+    }
+
+    @pytest.mark.parametrize("marked", [(0,), (1, 3)])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875])
+    @pytest.mark.parametrize("graph", sorted(CHAINS))
+    def test_marginals_match_dense_walk(self, graph, s, marked):
+        c = lazy(self.CHAINS[graph]())
+        n = c.n
+        ic = InterpolatedChain(c, frozenset(marked), s)
+        _, sqrt_pi_u = walks._pi_states(c, frozenset(marked))
+        psi0 = edge_zero_state(sqrt_pi_u)
+        cache = walks._PowerCache(WalkOperator(ic), psi0)
+        dense = DenseWalk(ic).powers(psi0.amplitudes, 29)
+        for e, ref in enumerate(dense):
+            got = node_marginal(StateVector(cache.state(e).ravel()), n)
+            want = node_marginal(StateVector(ref), n)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert abs(got[list(marked)].sum() - want[list(marked)].sum()) \
+                <= 1e-12
+
+    def test_start_requires_zero_first_register(self, walk_c4):
+        amps = np.zeros(16, dtype=complex)
+        amps[5] = 1.0
+        with pytest.raises(ValueError):
+            walk_c4.start(StateVector(amps))
+
+    def test_non_stochastic_chain_rejected(self):
+        class Leaky:
+            n = 2
+
+            @staticmethod
+            def matrix():
+                return np.array([[0.5, 0.5], [0.5, 0.4]])
+
+        with pytest.raises(ValueError, match="isometry"):
+            WalkOperator(Leaky())
 
 
 class TestBuildHp:
@@ -193,11 +250,11 @@ class TestBuildHp:
         hp = build_hp(DenseOperator(np.eye(4), hermitian=True, unitary=True))
         assert np.allclose(hp.entries, 0.0)
 
-    def test_square_block_encodes_complement(self, walk_c4):
-        hp = build_hp(walk_c4.u_d)
+    def test_square_block_encodes_complement(self, dense_c4):
+        hp = build_hp(dense_c4.u_d)
         sq = hp.entries @ hp.entries
-        h = walk_c4.d.entries
-        assert np.allclose(walk_c4.block(sq), np.eye(walk_c4.n) - h @ h,
+        h = dense_c4.d.entries
+        assert np.allclose(dense_c4.block(sq), np.eye(dense_c4.n) - h @ h,
                            atol=1e-10)
 
     def test_x_tensor_i(self):

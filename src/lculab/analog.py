@@ -1,11 +1,18 @@
 """Discrete system coupled to grid-discretized continuous ancillas.
 
-The couplings are position multiplications (H (x) z, H (x) y (x) z), so one
-eigendecomposition of H gives the exact evolution at every grid point.
-Post-selecting the ancillas implements Gaussian spectral filtering (ground
-states) and an inverse-Hamiltonian component (linear systems).  Every
-reported quantity is re-computed on a refined grid; runs that fail the
-convergence comparison are rejected.
+The couplings are position multiplications (H (x) z, H (x) y (x) z) and
+commute with H, so the engine is spectral: one eigendecomposition
+H = V diag(lambda) V^dag holds the whole evolution, and post-selecting the
+ancillas returns V g(lambda) V^dag |psi>, where g(lambda) is the ancilla
+overlap on the quadrature grid.  No (dim, n) or (dim, n, n) amplitude array
+is formed; tests/analog_oracle.py keeps that state-level form as the test
+reference.  Post-selection implements Gaussian spectral filtering (ground
+states) and an inverse-Hamiltonian component (linear systems).
+
+Every runner makes a check run on (z_max, n) and reports the run on the
+refined grid (1.25 z_max, 2n): 4096 -> 8192 points for one ancilla,
+512 -> 1024 points per ancilla for two.  A run whose result the refinement
+moves by more than CONVERGENCE_FRACTION of its error budget is rejected.
 """
 
 from __future__ import annotations
@@ -19,8 +26,7 @@ from .core_algebra import DenseOperator, StateVector, ham_to_dense, matrix_funct
 from .applications import GspProblem, QlsProblem
 
 LINE_N = 4096
-RING_N = 4096
-TWO_ANCILLA_N = 1024
+TWO_ANCILLA_N = 512
 CONVERGENCE_FRACTION = 0.10
 
 
@@ -53,7 +59,7 @@ def line_grid(z_max: float, n: int = LINE_N) -> QumodeGrid:
     return QumodeGrid(points=pts, weights=w, kind="line")
 
 
-def ring_grid(n: int = RING_N) -> QumodeGrid:
+def ring_grid(n: int) -> QumodeGrid:
     """Midpoint grid on the unit ring coordinate [0, 1]."""
     pts = (np.arange(n) + 0.5) / n
     return QumodeGrid(points=pts, weights=np.full(n, 1.0 / n), kind="ring")
@@ -90,69 +96,54 @@ def ring_flat(grid: QumodeGrid) -> AncillaState:
     return AncillaState("ring_flat", grid, _normalized(grid, raw))
 
 
+@dataclass(frozen=True)
 class HybridState:
-    """System (x) one or two ancilla grids, full amplitude array."""
-
-    def __init__(self, grids: tuple, amplitudes: np.ndarray):
-        self.grids = tuple(grids)
-        self.amplitudes = amplitudes
-        self.system_dim = amplitudes.shape[0]
-
-    def quadrature_norm(self) -> float:
-        w = self.grids[0].weights
-        if len(self.grids) == 1:
-            return float(np.sum(w[None, :] * np.abs(self.amplitudes) ** 2))
-        w2 = self.grids[1].weights
-        return float(np.einsum("j,k,djk->", w, w2,
-                               np.abs(self.amplitudes) ** 2))
+    """System (x) one or two ancillas, held in the eigenbasis of the coupling:
+    the state is sum_e coeffs[e] |evecs[:, e]> (x) e^{-i evals[e] C T} |anc>,
+    where C is the ancilla position product (z, or y z)."""
+    evals: np.ndarray
+    evecs: np.ndarray
+    coeffs: np.ndarray
+    ancillas: tuple
+    bigT: float
 
 
 def evolve_bilinear(h: DenseOperator, psi0: StateVector, ancillas, bigT: float) -> HybridState:
     """Evolve |psi0>|anc...> under the position coupling for time bigT:
     each grid point sees e^{-i H * point * T} (one-ancilla case) or
-    e^{-i H * y * z * T} (two-ancilla case)."""
+    e^{-i H * y * z * T} (two-ancilla case).  The coupling commutes with H,
+    so one eigendecomposition of H holds the whole evolution."""
     if not h.hermitian:
         raise ValueError("coupling Hamiltonian must be hermitian-flagged")
-    ancillas = list(ancillas) if isinstance(ancillas, (list, tuple)) else [ancillas]
+    ancillas = tuple(ancillas) if isinstance(ancillas, (list, tuple)) else (ancillas,)
+    if len(ancillas) not in (1, 2):
+        raise ValueError("one or two ancillas supported")
     evals, evecs = np.linalg.eigh(h.entries)
-    coeffs = evecs.conj().T @ psi0.amplitudes
-    if len(ancillas) == 1:
-        a = ancillas[0]
-        # (eig, z) phase table contracted back to the system basis
-        table = np.exp(-1j * np.outer(evals, a.grid.points) * bigT)
-        amp = evecs @ (coeffs[:, None] * table * a.amplitudes[None, :])
-        return HybridState((a.grid,), amp)
-    if len(ancillas) == 2:
-        a1, a2 = ancillas
-        yz = np.outer(a1.grid.points, a2.grid.points)
-        amp = np.zeros((h.dim, a1.grid.n, a2.grid.n), dtype=complex)
-        prod = a1.amplitudes[:, None] * a2.amplitudes[None, :]
-        for e in range(len(evals)):
-            phase = np.exp(-1j * evals[e] * yz * bigT)
-            amp += np.multiply.outer(evecs[:, e] * coeffs[e], phase * prod)
-        return HybridState((a1.grid, a2.grid), amp)
-    raise ValueError("one or two ancillas supported")
+    return HybridState(evals, evecs, evecs.conj().T @ psi0.amplitudes, ancillas, bigT)
 
 
 def project_ancilla(state: HybridState, targets) -> tuple[StateVector, float]:
     """Contract every ancilla register against a target state under the
     quadrature; returns the (unnormalized) system component and its squared
-    norm (the post-selection success probability)."""
+    norm (the post-selection success probability).  Each eigenvalue lambda
+    is scaled by the grid overlap g(lambda) = <targets| e^{-i lambda C T} |ancillas>."""
     targets = list(targets) if isinstance(targets, (list, tuple)) else [targets]
-    if len(targets) != len(state.grids):
+    if len(targets) != len(state.ancillas):
         raise ValueError("one target per ancilla grid required")
-    for tgt, grid in zip(targets, state.grids):
-        if tgt.grid is not grid and not np.array_equal(tgt.grid.points, grid.points):
+    for tgt, anc in zip(targets, state.ancillas):
+        if tgt.grid is not anc.grid and not np.array_equal(tgt.grid.points, anc.grid.points):
             raise ValueError("target lives on a different grid")
-    amp = state.amplitudes
-    if len(targets) == 1:
-        comp = amp @ (state.grids[0].weights * np.conj(targets[0].amplitudes))
+    v = [anc.grid.weights * np.conj(tgt.amplitudes) * anc.amplitudes
+         for tgt, anc in zip(targets, state.ancillas)]
+    points = [anc.grid.points for anc in state.ancillas]
+    if len(v) == 1:
+        g = np.exp(-1j * np.outer(state.evals, points[0]) * state.bigT) @ v[0]
     else:
-        v1 = state.grids[0].weights * np.conj(targets[0].amplitudes)
-        v2 = state.grids[1].weights * np.conj(targets[1].amplitudes)
-        comp = np.einsum("djk,j,k->d", amp, v1, v2)
-    sv = StateVector(comp, normalized=False)
-    return sv, float(np.linalg.norm(comp) ** 2)
+        yz = np.outer(*points)
+        g = np.array([v[0] @ np.exp(-1j * lam * yz * state.bigT) @ v[1]
+                      for lam in state.evals])
+    comp = state.evecs @ (g * state.coeffs)
+    return StateVector(comp, normalized=False), float(np.linalg.norm(comp) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +158,7 @@ def hubbard_stratonovich_check(y: float, z_max: float = 8.0, n: int = 2048) -> f
 
 
 def ring_inverse_scalar(xs: np.ndarray, bigT: float, z_max: float = 10.0,
-                        n_line: int = LINE_N, n_ring: int = TWO_ANCILLA_N) -> np.ndarray:
+                        n_line: int = LINE_N, n_ring: int = 1024) -> np.ndarray:
     """i/sqrt(2 pi) * int_0^T dt int dy y e^{-y^2/2} e^{-i y x t}, by the
     same quadrature grids the state-level run uses."""
     xs = np.asarray(xs, dtype=float)
@@ -185,7 +176,7 @@ def ring_inverse_scalar(xs: np.ndarray, bigT: float, z_max: float = 10.0,
 
 
 def gaussian_inverse_scalar(x: float, bigT: float, z_max: float = 10.0,
-                            n: int = TWO_ANCILLA_N) -> float:
+                            n: int = 1024) -> float:
     """Double-Gaussian quadrature that evaluates to 1/(T x~) with
     x~ = sqrt(x^2 + 1/T^2); returned premultiplied by T for direct
     comparison with the closed form."""
@@ -199,11 +190,28 @@ def gaussian_inverse_scalar(x: float, bigT: float, z_max: float = 10.0,
 # ---------------------------------------------------------------------------
 # end-to-end analog algorithms
 
-def _line_zmax(epsilon: float) -> float:
-    return 8.0 + math.sqrt(2 * math.log(1.0 / epsilon))
+def _refine(run, epsilon: float, n: int, kind: str):
+    """The refinement rule of every analog runner: a check run on
+    (z_max, n) and the reported run on (1.25 z_max, 2n).  Returns both
+    results and the reported grid."""
+    z_max = 8.0 + math.sqrt(2 * math.log(1.0 / epsilon))
+    grid = {"kind": kind, "n": 2 * n, "z_max": z_max * 1.25}
+    return run(z_max, n), run(grid["z_max"], grid["n"]), grid
 
 
-def analog_gsp(p: GspProblem, epsilon: float, n_points: int = LINE_N) -> dict:
+def _refined_component(run, epsilon: float, bigT: float, kind: str):
+    """Two-ancilla component on the reported grid, after the check run moved
+    it by at most CONVERGENCE_FRACTION of its budget epsilon / T."""
+    comp, comp2, grid = _refine(run, epsilon, TWO_ANCILLA_N, kind)
+    allowed = CONVERGENCE_FRACTION * epsilon / bigT
+    shift = float(np.linalg.norm(comp - comp2))
+    if shift > allowed:
+        raise ConvergenceError(
+            f"grid refinement moved the {kind} component by {shift} > {allowed}")
+    return comp2, grid
+
+
+def analog_gsp(p: GspProblem, epsilon: float) -> dict:
     """Gaussian spectral filter by one ancilla: evolve under H (x) z for
     T = sqrt(2t), post-select the ancilla ground state."""
     from .applications import _shift_rescale
@@ -214,17 +222,13 @@ def analog_gsp(p: GspProblem, epsilon: float, n_points: int = LINE_N) -> dict:
     t = (1.0 / (2 * gap ** 2)) * math.log((1 - eta ** 2) / (eta ** 2 * epsilon ** 2)) + 1
     bigT = math.sqrt(2 * t)
     hd = ham_to_dense(scaled)
-    z_max = _line_zmax(epsilon)
 
     def run(zm, n):
-        grid = line_grid(zm, n)
-        anc = gaussian_ground(grid)
+        anc = gaussian_ground(line_grid(zm, n))
         hyb = evolve_bilinear(hd, p.initial_state, [anc], bigT)
-        comp, prob = project_ancilla(hyb, [gaussian_ground(grid)])
-        return comp, prob
+        return (hyb, *project_ancilla(hyb, [anc]))
 
-    comp, prob = run(z_max, n_points)
-    comp2, prob2 = run(z_max * 1.25, n_points * 2)
+    (_, comp, prob), (hyb, comp2, prob2), grid = _refine(run, epsilon, LINE_N, "line")
     budget = max(epsilon, 1e-12)
     state_shift = float(np.linalg.norm(comp.amplitudes / np.linalg.norm(comp.amplitudes)
                                        - comp2.amplitudes / np.linalg.norm(comp2.amplitudes)))
@@ -237,17 +241,14 @@ def analog_gsp(p: GspProblem, epsilon: float, n_points: int = LINE_N) -> dict:
             f"success {prob_shift})")
     norm_state = StateVector(comp2.amplitudes / np.linalg.norm(comp2.amplitudes))
 
-    # test-only diagnostics against the dense oracle
-    evals, evecs = np.linalg.eigh(hd.entries)
-    v0 = evecs[:, 0]
-    fidelity = float(abs(np.vdot(norm_state.amplitudes, v0)))
+    # test-only diagnostic: weight in the (possibly degenerate) ground space
+    ground = hyb.evecs[:, np.abs(hyb.evals - hyb.evals[0]) < 1e-6]
+    fidelity = float(np.linalg.norm(ground.conj().T @ norm_state.amplitudes))
     return {"state": norm_state, "success_prob": prob2, "bigT": bigT, "t": t,
-            "fidelity_vs_ground": fidelity, "converged": True,
-            "grid": {"kind": "line", "n": n_points * 2, "z_max": z_max * 1.25}}
+            "fidelity_vs_ground": fidelity, "converged": True, "grid": grid}
 
 
-def analog_qls_ring(p: QlsProblem, epsilon: float,
-                    n_points: int = TWO_ANCILLA_N) -> dict:
+def analog_qls_ring(p: QlsProblem, epsilon: float) -> dict:
     """Inverse component via the oscillator/ring pair: prepare the first
     excited oscillator state and a flat ring state, evolve under
     H (x) y (x) z for T = kappa*sqrt(2 log(kappa/eps)), project the
@@ -255,30 +256,21 @@ def analog_qls_ring(p: QlsProblem, epsilon: float,
     global phase by i.  The surviving system component is H^{-1}|b>/T."""
     hd = ham_to_dense(p.hamiltonian)
     bigT = p.kappa * math.sqrt(2 * math.log(p.kappa / epsilon))
-    z_max = _line_zmax(epsilon)
     oracle = np.linalg.solve(hd.entries, p.b_state.amplitudes) / bigT
 
     def run(zm, n):
-        gy = line_grid(zm, n)
-        gz = ring_grid(n)
+        gy, gz = line_grid(zm, n), ring_grid(n)
         hyb = evolve_bilinear(hd, p.b_state, [harmonic_first_excited(gy), ring_flat(gz)], bigT)
         comp, _ = project_ancilla(hyb, [gaussian_ground(gy), ring_flat(gz)])
         return 1j * comp.amplitudes
 
-    comp = run(z_max, n_points)
-    comp2 = run(z_max * 1.25, min(n_points * 2, TWO_ANCILLA_N))
-    budget = epsilon / bigT
-    shift = float(np.linalg.norm(comp - comp2))
-    if shift > CONVERGENCE_FRACTION * budget:
-        raise ConvergenceError(f"ring inverse grid shift {shift} > {CONVERGENCE_FRACTION * budget}")
-    err = float(np.linalg.norm(comp2 - oracle))
-    return {"projected_component": StateVector(comp2, normalized=False),
-            "error_vs_oracle": err, "bigT": bigT, "converged": True,
-            "grid": {"kind": "line+ring", "n": n_points, "z_max": z_max}}
+    comp, grid = _refined_component(run, epsilon, bigT, "line+ring")
+    return {"projected_component": StateVector(comp, normalized=False),
+            "error_vs_oracle": float(np.linalg.norm(comp - oracle)),
+            "bigT": bigT, "converged": True, "grid": grid}
 
 
-def analog_qls_gaussian(p: QlsProblem, epsilon: float,
-                        n_points: int = TWO_ANCILLA_N) -> dict:
+def analog_qls_gaussian(p: QlsProblem, epsilon: float) -> dict:
     """Inverse component for positive spectra via two Gaussian ancillas:
     the projected component realizes (1/T) * 1/sqrt(H^2 + 1/T^2)."""
     hd = ham_to_dense(p.hamiltonian)
@@ -286,27 +278,19 @@ def analog_qls_gaussian(p: QlsProblem, epsilon: float,
     if np.any(evals <= 0):
         raise ValueError("gaussian inverse requires a positive spectrum")
     bigT = p.kappa ** 1.5 / math.sqrt(epsilon)
-    z_max = _line_zmax(epsilon)
     oracle = np.linalg.solve(hd.entries, p.b_state.amplitudes) / bigT
     smoothed = matrix_function(
         hd, lambda x: 1.0 / math.sqrt(x * x + 1.0 / bigT ** 2)).entries \
         @ p.b_state.amplitudes / bigT
 
     def run(zm, n):
-        gy = line_grid(zm, n)
-        gz = line_grid(zm, n)
+        gy, gz = line_grid(zm, n), line_grid(zm, n)
         hyb = evolve_bilinear(hd, p.b_state, [gaussian_ground(gy), gaussian_ground(gz)], bigT)
         comp, _ = project_ancilla(hyb, [gaussian_ground(gy), gaussian_ground(gz)])
         return comp.amplitudes
 
-    comp = run(z_max, n_points)
-    comp2 = run(z_max * 1.25, min(n_points * 2, TWO_ANCILLA_N))
-    budget = epsilon / bigT
-    shift = float(np.linalg.norm(comp - comp2))
-    if shift > CONVERGENCE_FRACTION * budget:
-        raise ConvergenceError(f"gaussian inverse grid shift {shift}")
-    return {"projected_component": StateVector(comp2, normalized=False),
-            "error_vs_oracle": float(np.linalg.norm(comp2 - oracle)),
-            "grid_error_vs_smoothed": float(np.linalg.norm(comp2 - smoothed)),
-            "bigT": bigT, "converged": True,
-            "grid": {"kind": "line+line", "n": n_points, "z_max": z_max}}
+    comp, grid = _refined_component(run, epsilon, bigT, "line+line")
+    return {"projected_component": StateVector(comp, normalized=False),
+            "error_vs_oracle": float(np.linalg.norm(comp - oracle)),
+            "grid_error_vs_smoothed": float(np.linalg.norm(comp - smoothed)),
+            "bigT": bigT, "converged": True, "grid": grid}

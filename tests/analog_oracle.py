@@ -1,0 +1,62 @@
+"""Dense state-level analog oracle, the reference for the spectral engine
+`analog.evolve_bilinear` / `analog.project_ancilla`.
+
+The hybrid state is held as its full amplitude array: (dim, n) for one
+ancilla grid, (dim, n, n) for two.  Every grid point carries its own system
+state e^{-i H z T} or e^{-i H y z T} applied to |psi0>, weighted by the
+ancilla amplitudes; projection contracts each grid axis against the
+quadrature-weighted target.
+"""
+
+import numpy as np
+
+from lculab.core_algebra import DenseOperator, StateVector
+
+
+class DenseHybridState:
+    """System (x) one or two ancilla grids, full amplitude array."""
+
+    def __init__(self, grids: tuple, amplitudes: np.ndarray):
+        self.grids = tuple(grids)
+        self.amplitudes = amplitudes
+
+    def quadrature_norm(self) -> float:
+        w = self.grids[0].weights
+        if len(self.grids) == 1:
+            return float(np.sum(w[None, :] * np.abs(self.amplitudes) ** 2))
+        w2 = self.grids[1].weights
+        return float(np.einsum("j,k,djk->", w, w2,
+                               np.abs(self.amplitudes) ** 2))
+
+
+def evolve_dense(h: DenseOperator, psi0: StateVector, ancillas,
+                 bigT: float) -> DenseHybridState:
+    """|psi0>|anc...> evolved under H (x) z or H (x) y (x) z for time bigT."""
+    evals, evecs = np.linalg.eigh(h.entries)
+    coeffs = evecs.conj().T @ psi0.amplitudes
+    if len(ancillas) == 1:
+        a = ancillas[0]
+        # (eig, z) phase table contracted back to the system basis
+        table = np.exp(-1j * np.outer(evals, a.grid.points) * bigT)
+        amp = evecs @ (coeffs[:, None] * table * a.amplitudes[None, :])
+        return DenseHybridState((a.grid,), amp)
+    a1, a2 = ancillas
+    yz = np.outer(a1.grid.points, a2.grid.points)
+    amp = np.zeros((h.dim, a1.grid.n, a2.grid.n), dtype=complex)
+    prod = a1.amplitudes[:, None] * a2.amplitudes[None, :]
+    for e in range(len(evals)):
+        phase = np.exp(-1j * evals[e] * yz * bigT)
+        amp += np.multiply.outer(evecs[:, e] * coeffs[e], phase * prod)
+    return DenseHybridState((a1.grid, a2.grid), amp)
+
+
+def project_dense(state: DenseHybridState, targets) -> tuple[np.ndarray, float]:
+    """System component left after contracting each grid axis with its
+    quadrature-weighted target, and its squared norm."""
+    v = [grid.weights * np.conj(tgt.amplitudes)
+         for tgt, grid in zip(targets, state.grids)]
+    if len(v) == 1:
+        comp = state.amplitudes @ v[0]
+    else:
+        comp = np.einsum("djk,j,k->d", state.amplitudes, v[0], v[1])
+    return comp, float(np.linalg.norm(comp) ** 2)

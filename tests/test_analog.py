@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from analog_oracle import evolve_dense, project_dense
+from lculab import analog
 from lculab.analog import (
     AncillaState,
     ConvergenceError,
@@ -29,6 +31,7 @@ from lculab.core_algebra import (
     ham_to_dense,
     parse_pauli_text,
 )
+from lculab.harness import parse_config, run
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -98,9 +101,10 @@ class TestEvolveProject:
                            atol=1e-8)
 
     def test_quadrature_norm_preserved(self):
+        # the state-level oracle that the spectral engine is checked against
         h = DenseOperator(Z, hermitian=True)
         g = line_grid(10.0, 1025)
-        hyb = evolve_bilinear(h, basis_state(1, 0), [gaussian_ground(g)], 3.7)
+        hyb = evolve_dense(h, basis_state(1, 0), [gaussian_ground(g)], 3.7)
         assert hyb.quadrature_norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_requires_hermitian(self):
@@ -115,6 +119,53 @@ class TestEvolveProject:
         hyb = evolve_bilinear(h, basis_state(1, 0), [gaussian_ground(g)], 1.0)
         with pytest.raises(ValueError):
             project_ancilla(hyb, [gaussian_ground(line_grid(8.0, 129))])
+
+
+def _random_ancilla(rng, grid):
+    raw = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    return AncillaState("random", grid, raw / math.sqrt(
+        float(np.sum(grid.weights * np.abs(raw) ** 2))))
+
+
+def _random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return DenseOperator((m + m.conj().T) / 4, hermitian=True)
+
+
+class TestEngineVsOracle:
+    """The spectral engine against the dense (dim, n) / (dim, n, n) oracle,
+    with random ancilla and target states so that every phase, conjugate
+    and weight shows."""
+
+    GRIDS = {"line": lambda n: line_grid(6.0, n), "ring": ring_grid}
+
+    @pytest.mark.parametrize("bigT", [0.0, 1.3, 7.0])
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("kinds,ns", [
+        (("line",), (129,)),
+        (("ring",), (64,)),
+        (("line", "line"), (65, 33)),
+        (("line", "ring"), (129, 64)),
+        (("ring", "ring"), (32, 48)),
+    ])
+    def test_engine_matches_dense_oracle(self, kinds, ns, dim, bigT):
+        rng = np.random.default_rng([dim, int(10 * bigT), *ns])
+        h = _random_hermitian(rng, dim)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi0 = StateVector(psi / np.linalg.norm(psi))
+        grids = [self.GRIDS[k](n) for k, n in zip(kinds, ns)]
+        ancs = [_random_ancilla(rng, g) for g in grids]
+        tgts = [_random_ancilla(rng, g) for g in grids]
+        comp, prob = project_ancilla(evolve_bilinear(h, psi0, ancs, bigT), tgts)
+        ref, ref_prob = project_dense(evolve_dense(h, psi0, ancs, bigT), tgts)
+        assert np.max(np.abs(comp.amplitudes - ref)) <= 1e-12
+        assert prob == pytest.approx(ref_prob, abs=1e-12)
+
+    def test_three_ancillas_rejected(self):
+        g = line_grid(5.0, 33)
+        with pytest.raises(ValueError):
+            evolve_bilinear(DenseOperator(Z, hermitian=True), basis_state(1, 0),
+                            [gaussian_ground(g)] * 3, 1.0)
 
 
 class TestScalarOracles:
@@ -168,6 +219,21 @@ class TestAnalogGsp:
         assert out["bigT"] == pytest.approx(math.sqrt(2 * out["t"]))
 
 
+    def test_degenerate_ground_space_fidelity(self):
+        # 1.0*ZI has the two-fold ground space |1>(x)C^2, and |1>|+> lies in
+        # it: the fidelity is the weight in that space, not the overlap with
+        # one eigenvector of it
+        h = parse_pauli_text("1.0*ZI")
+        psi0 = StateVector(np.array([0, 0, 1, 1]) / math.sqrt(2))
+        problem = GspProblem(hamiltonian=h, gap_lower_bound=1.5,
+                             overlap_lower_bound=0.5,
+                             ground_energy_estimate=-1.0,
+                             energy_precision=0.01, initial_state=psi0)
+        out = analog_gsp(problem, 0.1)
+        assert out["success_prob"] >= 0.99
+        assert out["fidelity_vs_ground"] == pytest.approx(1.0, abs=1e-12)
+
+
 class TestAnalogQls:
     def test_ring_inverse_component(self):
         h = parse_pauli_text("0.6*ZZ+0.4*XX")
@@ -201,3 +267,31 @@ class TestAnalogQls:
         p = QlsProblem(h, 10.0, psi)
         with pytest.raises(ConvergenceError):
             analog_qls_gaussian(p, 0.01)
+
+
+class TestRefinement:
+    """Each runner makes a check run on (z_max, n) and reports the run on
+    (1.25 z_max, 2n), and its report names the grid of that last run."""
+
+    @pytest.mark.parametrize("sub,params", [
+        ("analog-gsp", {"hamiltonian": "0.4*Z+0.2*X", "gap": "0.8",
+                        "eta": "0.5", "e0": "-0.46", "eg": "0.02",
+                        "state": "basis:0"}),
+        ("analog-qls", {"hamiltonian": "0.6*Z+0.4*X", "kappa": "2",
+                        "ancilla": "ring"}),
+        ("analog-qls", {"hamiltonian": "0.6*I+0.2*Z", "kappa": "3",
+                        "ancilla": "gaussian"}),
+    ], ids=["gsp", "qls_ring", "qls_gaussian"])
+    def test_report_names_the_last_grid(self, monkeypatch, sub, params):
+        grids = []
+        evolve = analog.evolve_bilinear
+
+        def spy(h, psi0, ancillas, bigT):
+            grids.append((ancillas[0].grid.n, float(ancillas[0].grid.points[-1])))
+            return evolve(h, psi0, ancillas, bigT)
+
+        monkeypatch.setattr(analog, "evolve_bilinear", spy)
+        grid = run(parse_config(sub, params)).results["grid"]
+        (n, z_max), (n2, z_max2) = grids
+        assert (n2, z_max2) == (2 * n, pytest.approx(1.25 * z_max))
+        assert (grid["n"], grid["z_max"]) == (n2, pytest.approx(z_max2, abs=1e-12))

@@ -79,3 +79,28 @@ def test_walks_search_op_reaches_traced_layers(monkeypatch):
                                       "trials": "20"}))
     assert calls["build"] >= 1
     assert calls["norm"] >= 1
+
+
+def test_analog_qls_op_reaches_traced_layers(monkeypatch):
+    # analog.project_s reads project_ancilla spans, and
+    # analog.refine_points_ratio pairs the two two-ancilla evolve spans of
+    # one op: the second must have twice the points of the first
+    sizes, projects = [], []
+    evolve, project = analog.evolve_bilinear, analog.project_ancilla
+
+    def spy_evolve(h, psi0, ancillas, bigT):
+        sizes.append(tuple(a.grid.n for a in ancillas))
+        return evolve(h, psi0, ancillas, bigT)
+
+    def spy_project(state, targets):
+        projects.append(len(targets))
+        return project(state, targets)
+
+    monkeypatch.setattr(analog, "evolve_bilinear", spy_evolve)
+    monkeypatch.setattr(analog, "project_ancilla", spy_project)
+    run(parse_config("analog-qls", {"hamiltonian": "0.6*Z+0.4*X",
+                                    "kappa": "2", "ancilla": "ring"}))
+    assert len(sizes) == 2 and all(len(s) == 2 for s in sizes)
+    (n, _), (n2, _) = sizes
+    assert n2 == 2 * n
+    assert projects == [2, 2]

@@ -147,47 +147,6 @@ def project_ancilla(state: HybridState, targets) -> tuple[StateVector, float]:
 
 
 # ---------------------------------------------------------------------------
-# scalar quadrature oracles
-
-def hubbard_stratonovich_check(y: float, z_max: float = 8.0, n: int = 2048) -> float:
-    """Quadrature value of the Gaussian Fourier identity at y; compare with
-    e^{-y^2/2}."""
-    g = line_grid(z_max, n)
-    return float(np.real(np.sum(g.weights * np.exp(-g.points ** 2 / 2)
-                                * np.exp(-1j * y * g.points)) / math.sqrt(2 * math.pi)))
-
-
-def ring_inverse_scalar(xs: np.ndarray, bigT: float, z_max: float = 10.0,
-                        n_line: int = LINE_N, n_ring: int = 1024) -> np.ndarray:
-    """i/sqrt(2 pi) * int_0^T dt int dy y e^{-y^2/2} e^{-i y x t}, by the
-    same quadrature grids the state-level run uses."""
-    xs = np.asarray(xs, dtype=float)
-    gy = line_grid(z_max, n_line)
-    # midpoint t-grid on [0, T]: the t-sum is a geometric series for each
-    # (x, y) pair, so it collapses to closed form without a 3-D tensor
-    step = bigT / n_ring
-    freq = np.outer(xs, gy.points)                     # (nx, ny)
-    q = np.exp(-1j * freq * step)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geo = np.where(np.isclose(q, 1.0), float(n_ring),
-                       np.exp(-1j * freq * step / 2) * (1 - q ** n_ring) / (1 - q))
-    wy = gy.weights * gy.points * np.exp(-gy.points ** 2 / 2)
-    return 1j / math.sqrt(2 * math.pi) * step * (geo @ wy)
-
-
-def gaussian_inverse_scalar(x: float, bigT: float, z_max: float = 10.0,
-                            n: int = 1024) -> float:
-    """Double-Gaussian quadrature that evaluates to 1/(T x~) with
-    x~ = sqrt(x^2 + 1/T^2); returned premultiplied by T for direct
-    comparison with the closed form."""
-    g = line_grid(z_max, n)
-    wy = g.weights * np.exp(-g.points ** 2 / 2) / math.sqrt(2 * math.pi)
-    inner = np.exp(-1j * np.outer(g.points * x * bigT, g.points)) @ wy
-    return float(np.real(bigT * np.sum(g.weights / math.sqrt(2 * math.pi)
-                                       * np.exp(-g.points ** 2 / 2) * inner)))
-
-
-# ---------------------------------------------------------------------------
 # end-to-end analog algorithms
 
 def _refine(run, epsilon: float, n: int, kind: str):

@@ -429,17 +429,27 @@ def _run_analog_qls(p: dict) -> dict:
 
 
 def _parse_graph(text: str):
-    if text.startswith("cycle:"):
-        return cycle_chain(int(text.split(":", 1)[1]))
-    if text.startswith("complete:"):
-        return complete_chain(int(text.split(":", 1)[1]))
-    if text.startswith("file:"):
-        return chain_from_edgelist(text.split(":", 1)[1])
-    raise ConfigError(f"unknown graph spec '{text}' "
-                      "(use cycle:N|complete:N|file:<edgelist>)")
+    kind, _, arg = text.partition(":")
+    if kind == "file":
+        try:
+            return chain_from_edgelist(arg)
+        except OSError as ex:
+            raise ConfigError(f"cannot read edge list {arg}: {ex}") from ex
+    if kind not in ("cycle", "complete"):
+        raise ConfigError(f"unknown graph spec '{text}' "
+                          "(use cycle:N|complete:N|file:<edgelist>)")
+    try:
+        n = int(arg)
+    except ValueError as ex:
+        raise ConfigError(f"graph spec '{text}': N must be an integer") from ex
+    if n < 2:
+        raise ConfigError(f"graph spec '{text}': N must be at least 2")
+    return cycle_chain(n) if kind == "cycle" else complete_chain(n)
 
 
 def _run_walks_search(p: dict) -> dict:
+    if p["trials"] < 1:
+        raise ConfigError("trials must be at least 1")
     chain = _parse_graph(p["graph"])
     try:
         marked = frozenset(int(x) for x in p["marked"].split(",") if x.strip())

@@ -6,7 +6,11 @@ the column isometry A|x> = sum_y sqrt(p_xy) |y, x> and steps by
 matrix.  Walk powers block-encode Chebyshev polynomials of the
 discriminant, which the two search algorithms sample through truncated
 power / exponential mixtures.
-"""
+
+Trials, the exact oracle and the Theorem-1 slack read two objects of one
+search schedule: the mixture P(e | t) over walk powers, and per
+interpolation value s a table of the node marginals of W(s)^e A|sqrt(pi_U)>,
+one row per power.  tests/walk_oracle.py keeps the state-level references."""
 
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from ._kernels import make_rng
 from .core_algebra import UNITARY_TOL, DenseOperator, StateVector
@@ -178,12 +183,6 @@ class WalkOperator:
         return 2.0 * self.sqrt_pt * coeffs[..., None, :] - swapped
 
 
-def _e(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
-
-
 def edge_zero_state(node_amplitudes: np.ndarray) -> StateVector:
     """|0>|psi> on the edge space (first register fixed to node 0)."""
     n = len(node_amplitudes)
@@ -192,112 +191,20 @@ def edge_zero_state(node_amplitudes: np.ndarray) -> StateVector:
     return StateVector(amp, normalized=abs(np.linalg.norm(node_amplitudes) - 1) < 1e-10)
 
 
-def node_marginal(state: StateVector, n: int) -> np.ndarray:
-    """Measurement distribution of the node register (second slot of |y,x>)."""
-    probs = np.abs(state.amplitudes.reshape(n, n)) ** 2
-    return probs.sum(axis=0)
-
-
-def chebyshev_block_check(w: WalkOperator, t: int) -> float:
-    """|A^T W^t A - T_t(D)|: the node block of the walk the search runs,
-    by t steps on the n start columns A|x>."""
-    n = w.n
-    cols = w.sqrt_pt[None, :, :] * np.eye(n)[:, None, :]
-    for _ in range(t):
-        cols = w.step(cols)
-    block = (w.sqrt_pt[None, :, :] * cols).sum(axis=1).T
-    xs_evals, xs_evecs = np.linalg.eigh(w.d.entries)
-    tt = (xs_evecs * np.cos(t * np.arccos(np.clip(xs_evals, -1, 1)))) @ xs_evecs.conj().T
-    return float(np.linalg.norm(block - tt, 2))
-
-
-def build_hp(u_h: DenseOperator) -> DenseOperator:
-    """i(V - V^dag)/2 with V = R U_H, for an involutory block-encoding
-    unitary; Hermitian, and its square block-encodes I - H^2."""
-    m = u_h.entries
-    if np.linalg.norm(m @ m - np.eye(m.shape[0]), 2) > 1e-9:
-        raise ValueError("block-encoding unitary must be involutory")
-    dim = m.shape[0]
-    n = int(round(math.sqrt(dim)))
-    if n * n != dim:
-        raise ValueError("expected an n^2-dimensional edge space")
-    refl = np.kron(2 * np.outer(_e(n, 0), _e(n, 0)) - np.eye(n), np.eye(n))
-    v = refl @ m
-    hp = 0.5j * (v - v.conj().T)
-    return DenseOperator(hp, hermitian=True)
-
-
 # ---------------------------------------------------------------------------
-# randomized polynomial application
-
-def _power_support(t: int, d: int):
-    """(exponents, probabilities) for the truncated Chebyshev mixture of
-    x^t: walk powers 2l (even t) or 2l+1 (odd t)."""
-    if t == 0:
-        return np.array([0]), np.array([1.0])
-    dd = min(d, t)
-    if dd % 2 != t % 2:
-        dd -= 1
-    c = chebyshev_power_coeffs(t, dd)
-    exps = 2 * np.arange(len(c)) + (t % 2)
-    return exps, c / c.sum()
-
-
-def _poisson_log_weights(t: float, d: int) -> np.ndarray:
-    from scipy.special import gammaln
-    js = np.arange(d + 1)
-    if t <= 0:
-        log_w = np.full(d + 1, -np.inf)
-        log_w[0] = 0.0
-        return log_w
-    return -t + js * np.log(t) - gammaln(js + 1)
-
+# spatial search
 
 def _poisson(t: float, d: int) -> np.ndarray:
     """Poisson(t) weights on 0..d, renormalized after the truncation."""
-    weights = np.exp(_poisson_log_weights(float(t), d))
+    t = float(t)
+    if t <= 0:
+        weights = np.zeros(d + 1)
+        weights[0] = 1.0
+        return weights
+    js = np.arange(d + 1)
+    weights = np.exp(-t + js * np.log(t) - gammaln(js + 1))
     return weights / weights.sum()
 
-
-def _branches(t: float, d: int, dprime: int | None = None) -> list[tuple[float, int]]:
-    """(probability, exponent) branches of the walk-power mixture for x^t
-    at degree d, or, given dprime, for e^{t(x-1)}: Poisson(t) weights
-    truncated at d over the mixtures of x^l at degree dprime."""
-    if dprime is None:
-        exps, probs = _power_support(int(round(t)), d)
-        return [(float(pr), int(e)) for e, pr in zip(exps, probs)]
-    out = []
-    for ell, po in enumerate(_poisson(t, d)):
-        if po == 0.0:
-            continue
-        out.extend((float(po * pr), e) for pr, e in _branches(ell, dprime))
-    return out
-
-
-def pow_ham_enumeration(t: int, d: int, w: WalkOperator, psi0: StateVector,
-                        cache: "_PowerCache | None" = None):
-    """All (probability, exponent, U_P V^e psi0) branches of the mixture,
-    for psi0 = |0>|psi>; each state is the n^2 edge vector W^e A|psi>."""
-    cache = cache or _PowerCache(w, psi0)
-    return [(pr, e, cache.state(e).ravel()) for pr, e in _branches(t, d)]
-
-
-def exp_ham_enumeration(t: float, d: int, dprime: int, w: WalkOperator,
-                        psi0: StateVector, cache: "_PowerCache | None" = None):
-    """All (probability, exponent, U_P V^e psi0) branches of the nested
-    mixture, for psi0 = |0>|psi>; each state is the n^2 edge vector
-    W^e A|psi>."""
-    cache = cache or _PowerCache(w, psi0)
-    return [(pr, e, cache.state(e).ravel()) for pr, e in _branches(t, d, dprime)]
-
-
-def exp_ham_l1(t: float, d: int) -> float:
-    """sum of the truncated Poisson weights (the mixture's l1 norm)."""
-    return float(np.exp(_poisson_log_weights(t, d)).sum())
-
-
-# ---------------------------------------------------------------------------
-# spatial search
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -330,32 +237,18 @@ def _pi_states(c: MarkovChain, marked: frozenset):
     return pi_m, sqrt_pi_u
 
 
-class _PowerCache:
-    """W^e A|psi> = U_P V^e |0>|psi> as n x n arrays, for increasing e by
-    repeated walk steps; keeps the walk's discriminant D for the exact
-    drift."""
-
-    def __init__(self, w: WalkOperator, psi0: StateVector):
-        self.step = w.step
-        self.d = w.d.entries
-        self.states = [w.start(psi0)]
-
-    def state(self, e: int) -> np.ndarray:
-        while len(self.states) <= e:
-            self.states.append(self.step(self.states[-1]))
-        return self.states[e]
-
-
 class _SearchSchedule:
     """Everything one search call derives from (chain, marked, config, algo):
     the hitting time HT of the lazy chain, T = max(c_t HT, 2), the r-grid,
     the polynomial degrees d (and d' for algo 2) with their truncation
-    budget eps, pi_M and sqrt(pi_U), and one walk-power table per
-    interpolation value s, built when s is first asked for.
+    budget eps, pi_M and sqrt(pi_U), the walk-power mixture P(e | t) and one
+    node-marginal table per interpolation value s, built when s is first
+    asked for.
 
     Algo 1 samples the truncated Chebyshev mixture of x^t at degree d.
     Algo 2 draws l from the Poisson(t) weights truncated at d, then samples
-    the mixture of x^l at degree d'."""
+    the mixture of x^l at degree d'.  No mixture reaches past the power
+    max_e: d (algo 1) or d' (algo 2)."""
 
     def __init__(self, c: MarkovChain, marked, config: SearchConfig, algo: int):
         self.chain = lazy(c)
@@ -375,51 +268,68 @@ class _SearchSchedule:
             self.d = math.ceil(big_t * math.e ** 2)
             self.dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
             self.eps = 48.0 * log2t ** 2 * math.exp(-self.dprime ** 2 / (2.0 * big_t))
-        self._powers: dict[float, _PowerCache] = {}
+        self.max_e = self.d if algo == 1 else self.dprime
+        self.dmat: dict[float, np.ndarray] = {}
+        self._tables: dict[float, np.ndarray] = {}
         self._steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def steps(self, x: int):
-        """(exponents, probabilities) of the walk-power mixture for the
-        monomial of degree x: t (algo 1) or the Poisson draw l (algo 2).
-        Computed once per x; the arrays are read-only."""
+        """(exponents, probabilities) of the truncated Chebyshev mixture of
+        the monomial of degree x, t (algo 1) or the Poisson draw l (algo 2),
+        at degree max_e: walk powers 2l (even x) or 2l+1 (odd x).  Computed
+        once per x; the arrays are read-only."""
         if x not in self._steps:
-            exps, probs = _power_support(x, self.d if self.algo == 1 else self.dprime)
+            exps, probs = np.array([0]), np.array([1.0])
+            if x:
+                dd = min(self.max_e, x)
+                c = chebyshev_power_coeffs(x, dd - (dd - x) % 2)
+                exps, probs = 2 * np.arange(len(c)) + x % 2, c / c.sum()
             exps.setflags(write=False)
             probs.setflags(write=False)
             self._steps[x] = exps, probs
         return self._steps[x]
 
-    def walk_powers(self, s: float) -> _PowerCache:
-        """U_P V(s)^e |0>|sqrt(pi_U)>, one walk per interpolation value."""
-        if s not in self._powers:
+    def mixture(self, t: int) -> np.ndarray:
+        """P(e | t) for e = 0..max_e: the mixture of x^t (algo 1), or the
+        Poisson(t) weights truncated at d over the mixtures of x^l (algo 2)."""
+        mix = np.zeros(self.max_e + 1)
+        if self.algo == 1:
+            exps, probs = self.steps(t)
+            mix[exps] = probs
+            return mix
+        poisson = _poisson(t, self.d)
+        for ell in np.flatnonzero(poisson):
+            exps, probs = self.steps(int(ell))
+            mix[exps] += poisson[ell] * probs
+        return mix
+
+    def table(self, s: float) -> np.ndarray:
+        """Node marginals of W(s)^e A|sqrt(pi_U)> = U_P V(s)^e |0>|sqrt(pi_U)>,
+        one row per power e = 0..max_e, by walk steps; read-only.  Keeps
+        D(s) in `dmat[s]`."""
+        if s not in self._tables:
             w = WalkOperator(InterpolatedChain(self.chain, self.marked, s))
-            self._powers[s] = _PowerCache(w, edge_zero_state(self.sqrt_pi_u))
-        return self._powers[s]
+            chi = w.start(edge_zero_state(self.sqrt_pi_u))
+            table = np.empty((self.max_e + 1, self.chain.n))
+            for e in range(self.max_e + 1):
+                if e:
+                    chi = w.step(chi)
+                # summed over y in row order, whatever layout the step left
+                table[e] = (np.abs(np.ascontiguousarray(chi)) ** 2).sum(axis=0)
+            table.setflags(write=False)
+            self._tables[s] = table
+            self.dmat[s] = w.d.entries
+        return self._tables[s]
 
-    def marked_weights(self, s: float, max_e: int) -> np.ndarray:
-        """Marked-node weight of V(s)^e |0>|sqrt(pi_U)> for e = 0..max_e."""
-        pc = self.walk_powers(s)
-        return np.array([
-            float((np.abs(pc.state(e)) ** 2)[:, self.marked_idx].sum())
-            for e in range(max_e + 1)])
 
-
-def _drift_weights(dmat: np.ndarray, marked_idx: list[int],
-                   sqrt_pi_u: np.ndarray, ts, kind: str) -> list[float]:
-    """Marked-projection weight of f_t(D) |sqrt(pi_U)> for each t in ts, for
-    the discriminant matrix D, by eigh: f_t(x) = x^t (power) or e^{t(x-1)}
-    (exp)."""
-    if kind not in ("power", "exp"):
-        raise ValueError("kind must be 'power' or 'exp'")
+def _drift_weight(dmat: np.ndarray, marked_idx: list[int],
+                  sqrt_pi_u: np.ndarray, t: float, kind: str) -> float:
+    """Marked-projection weight of f_t(D) |sqrt(pi_U)> for the discriminant
+    matrix D, by eigh: f_t(x) = x^t (power) or e^{t(x-1)} (exp)."""
     evals, evecs = np.linalg.eigh(dmat)
-    coeffs = evecs.T @ sqrt_pi_u
-    rows = evecs[marked_idx, :]
-    out = []
-    for t in ts:
-        f = evals ** t if kind == "power" else np.exp(t * (evals - 1.0))
-        vec = rows @ (f * coeffs)
-        out.append(float(np.sum(np.abs(vec) ** 2)))
-    return out
+    f = evals ** t if kind == "power" else np.exp(t * (evals - 1.0))
+    vec = evecs[marked_idx, :] @ (f * (evecs.T @ sqrt_pi_u))
+    return float(np.sum(np.abs(vec) ** 2))
 
 
 def _run_search(sch: _SearchSchedule, rng) -> SearchOutcome:
@@ -433,77 +343,41 @@ def _run_search(sch: _SearchSchedule, rng) -> SearchOutcome:
         node = int(rng.choice(sch.marked_idx, p=probs))
         return SearchOutcome(True, node, s, t, 0)
 
-    pc = sch.walk_powers(s)
     if sch.algo == 1:
         x = t
     else:
         x = int(rng.choice(np.arange(sch.d + 1), p=_poisson(t, sch.d)))
     exps, probs = sch.steps(x)
     steps = int(rng.choice(exps, p=probs))
-    n = sch.chain.n
-    node_probs = np.maximum(node_marginal(StateVector(pc.state(steps).ravel()), n), 0)
-    node = int(rng.choice(n, p=node_probs / node_probs.sum()))
+    node_probs = sch.table(s)[steps]
+    node = int(rng.choice(sch.chain.n, p=node_probs / node_probs.sum()))
     return SearchOutcome(node in sch.marked, node, s, t, steps)
 
 
 def run_search_trials(c: MarkovChain, marked, config: SearchConfig,
                       n_trials: int, algo: int) -> list[SearchOutcome]:
     """Independent search trials on one schedule: the hitting time is solved
-    once, and the walk powers are shared across the (few) distinct
-    interpolation values, so repeated trials cost O(n^2) walk steps only."""
+    once, and each trial reads the node-marginal table of its (few)
+    distinct interpolation values, so repeated trials take no walk step."""
     rng = make_rng(config.master_seed, 40 + algo)
     sch = _SearchSchedule(c, marked, config, algo)
     return [_run_search(sch, rng) for _ in range(n_trials)]
-
-
-def exact_search_success(c: MarkovChain, marked, big_t: float, kind: str) -> float:
-    """Average over the interpolation grid and uniform integer t of the
-    marked-projection weight of D(s)^t (power) or e^{t(D(s)-I)} (exp)
-    applied to the unmarked stationary state, by dense linear algebra."""
-    marked = frozenset(marked)
-    _, sqrt_pi_u = _pi_states(c, marked)
-    r_set = _r_grid(big_t)
-    ts = np.arange(0, int(big_t) + 1)
-    total = 0.0
-    for r in r_set:
-        dmat = discriminant(InterpolatedChain(c, marked, 1.0 - 1.0 / r)).entries
-        for weight in _drift_weights(dmat, sorted(marked), sqrt_pi_u, ts, kind):
-            total += weight
-    return total / (len(r_set) * len(ts))
 
 
 def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,
                              algo: int) -> float:
     """Exact success probability of the full algorithm (pre-measurement plus
     the sampled-polynomial walk stage), by enumerating r, t and the
-    polynomial mixture."""
+    walk-power mixture."""
     sch = _SearchSchedule(c, marked, config, algo)
-    ts = np.arange(0, int(sch.big_t) + 1)
-    if algo == 1:
-        max_e = sch.d
-    else:
-        # inner exponent distributions depend only on the Poisson draw, and
-        # each t's mixture over exponents is the same for every r
-        inner = [sch.steps(ell) for ell in range(sch.d + 1)]
-        max_e = max(int(exps[-1]) for exps, _ in inner)
-        mixes = []
-        for t in ts:
-            mix = np.zeros(max_e + 1)
-            for ell, po in enumerate(_poisson(t, sch.d)):
-                if po == 0.0:
-                    continue
-                exps, probs = inner[ell]
-                mix[exps] += po * probs
-            mixes.append(mix)
+    ts = range(int(sch.big_t) + 1)
+    # each t's mixture over walk powers is the same for every r
+    mixes = np.array([sch.mixture(t) for t in ts])
     walk_total = 0.0
     for r in sch.r_set:
-        mw = sch.marked_weights(1.0 - 1.0 / r, max_e)
-        for t in ts:
-            if algo == 1:
-                exps, probs = sch.steps(int(t))
-                walk_total += float(probs @ mw[exps])
-            else:
-                walk_total += float(mixes[t] @ mw)
+        marked_weights = sch.table(1.0 - 1.0 / r)[:, sch.marked_idx].sum(axis=1)
+        for weight in mixes @ marked_weights:
+            walk_total += float(weight)
     walk_avg = walk_total / (len(sch.r_set) * len(ts))
     return sch.pi_m + (1 - sch.pi_m) * walk_avg
 
@@ -516,18 +390,13 @@ def theorem1_slack(c: MarkovChain, marked, config: SearchConfig, algo: int) -> f
     holds."""
     sch = _SearchSchedule(c, marked, config, algo)
     t = int(sch.big_t)
-    branches = _branches(t, sch.d, sch.dprime)
-    max_e = max(e for _, e in branches)
+    mix = sch.mixture(t)
     kind = "power" if algo == 1 else "exp"
     slack = math.inf
     for r in sch.r_set:
         s = 1.0 - 1.0 / r
-        mw = sch.marked_weights(s, max_e)
-        sampled = 0.0
-        for pr, e in branches:
-            sampled += pr * float(mw[e])
-        [target] = _drift_weights(sch.walk_powers(s).d, sch.marked_idx,
-                                  sch.sqrt_pi_u, [t], kind)
+        sampled = float(mix @ sch.table(s)[:, sch.marked_idx].sum(axis=1))
+        target = _drift_weight(sch.dmat[s], sch.marked_idx, sch.sqrt_pi_u, t, kind)
         slack = min(slack, sampled + sch.eps - target)
     return slack
 
@@ -545,7 +414,12 @@ def chain_from_edgelist(path: str) -> MarkovChain:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'u v weight'")
-            u, v, wgt = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                u, v, wgt = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as ex:
+                raise ValueError(f"line {lineno}: expected 'u v weight'") from ex
+            if u < 0 or v < 0:
+                raise ValueError(f"line {lineno}: node ids must be >= 0")
             if wgt <= 0:
                 raise ValueError(f"line {lineno}: weight must be positive")
             entries.append((u, v, wgt))

@@ -13,8 +13,6 @@ from lculab.analog import (
     analog_gsp,
     analog_qls_gaussian,
     analog_qls_ring,
-    gaussian_inverse_scalar,
-    ring_inverse_scalar,
 )
 from lculab.applications import (
     GspProblem,
@@ -37,7 +35,6 @@ from lculab.core_algebra import (
 from lculab.estimator import prepare
 from lculab.lcu_decomp import (
     LcuDecomposition,
-    chebyshev_power_eval,
     gaussian_lcu,
     inverse_lcu,
     realized_sum,
@@ -47,21 +44,25 @@ from lculab.walks import (
     InterpolatedChain,
     SearchConfig,
     WalkOperator,
-    build_hp,
     chain_from_matrix,
-    chebyshev_block_check,
     cycle_chain,
     discriminant,
     edge_zero_state,
-    exp_ham_enumeration,
     hitting_time,
     lazy,
-    pow_ham_enumeration,
     predicted_search_success,
     run_search_trials,
     theorem1_slack,
 )
-from walk_oracle import DenseWalk
+from analog_oracle import gaussian_inverse_scalar, ring_inverse_scalar
+from lcu_oracle import chebyshev_power_eval
+from walk_oracle import (
+    DenseWalk,
+    build_hp,
+    chebyshev_block_check,
+    exp_ham_enumeration,
+    pow_ham_enumeration,
+)
 
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 ZI = DenseOperator(np.kron(Z2, np.eye(2)), hermitian=True, unitary=True)

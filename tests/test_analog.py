@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from analog_oracle import evolve_dense, project_dense
+from analog_oracle import (
+    evolve_dense,
+    gaussian_inverse_scalar,
+    hubbard_stratonovich_check,
+    project_dense,
+    ring_inverse_scalar,
+)
 from lculab import analog
 from lculab.analog import (
     AncillaState,
@@ -14,14 +20,11 @@ from lculab.analog import (
     analog_qls_ring,
     evolve_bilinear,
     gaussian_ground,
-    gaussian_inverse_scalar,
     harmonic_first_excited,
-    hubbard_stratonovich_check,
     line_grid,
     project_ancilla,
     ring_flat,
     ring_grid,
-    ring_inverse_scalar,
 )
 from lculab.applications import GspProblem, QlsProblem
 from lculab.core_algebra import (

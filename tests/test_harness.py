@@ -217,6 +217,20 @@ class TestRunReports:
         assert code == 3
         assert "capped at 64 nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--graph", "cycle:8", "--trials", "0"], "trials must be at least 1"),
+        (["--graph", "cycle:8", "--trials", "-3"], "trials must be at least 1"),
+        (["--graph", "cycle:abc"], "N must be an integer"),
+        (["--graph", "complete:1"], "N must be at least 2"),
+        (["--graph", "cycle:0"], "N must be at least 2"),
+        (["--graph", "file:no/such/edgelist.txt"], "cannot read edge list"),
+    ])
+    def test_walks_search_bad_input_is_config_error(self, flags, message,
+                                                    capsys):
+        code = cli.main(["walks-search", "--marked", "0", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_decomp_check_report(self):
         rep = run(parse_config("decomp-check",
                                {"kind": "gaussian", "t": "9.0",

@@ -19,16 +19,18 @@ from lculab.lcu_decomp import (
     SegmentLcu,
     apply_pauli_rotation,
     chebyshev_power_coeffs,
-    chebyshev_power_eval,
-    exp_poly_coeffs,
-    exp_poly_eval,
     gaussian_lcu,
-    gaussian_poly_eval,
     inverse_lcu,
     realized_sum,
     scalar_function,
     taylor_truncation_order,
     term_unitaries,
+)
+from lcu_oracle import (
+    chebyshev_power_eval,
+    exp_poly_coeffs,
+    exp_poly_eval,
+    gaussian_poly_eval,
 )
 
 

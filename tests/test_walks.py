@@ -12,26 +12,32 @@ from lculab.walks import (
     MarkovChain,
     SearchConfig,
     WalkOperator,
-    build_hp,
     chain_from_edgelist,
     chain_from_matrix,
-    chebyshev_block_check,
     complete_chain,
     cycle_chain,
     discriminant,
     edge_zero_state,
-    exact_search_success,
-    exp_ham_enumeration,
-    exp_ham_l1,
     hitting_time,
     lazy,
-    node_marginal,
-    pow_ham_enumeration,
     predicted_search_success,
     run_search_trials,
     theorem1_slack,
 )
-from walk_oracle import DenseWalk
+from walk_oracle import (
+    DenseWalk,
+    branches,
+    build_hp,
+    chebyshev_block_check,
+    enumerated_search_success,
+    enumerated_slack,
+    exact_search_success,
+    exp_ham_enumeration,
+    exp_ham_l1,
+    node_marginal,
+    pow_ham_enumeration,
+    stepped_search_trials,
+)
 
 
 def _two_cycle():
@@ -195,9 +201,10 @@ class TestWalkOperator:
 
 
 class TestDenseOracle:
-    """The matrix-free walk against the dense V^e |0>|psi> of walk_oracle:
-    U_P maps each x-block to itself, so node marginals and marked weights
-    agree for every power."""
+    """The search schedule's node-marginal tables, built by the matrix-free
+    walk, against the dense V^e |0>|psi> of walk_oracle: U_P maps each
+    x-block to itself, so node marginals and marked weights agree for every
+    power."""
 
     CHAINS = {
         "cycle:4": lambda: cycle_chain(4),
@@ -213,19 +220,21 @@ class TestDenseOracle:
     @pytest.mark.parametrize("s", [0.0, 0.5, 0.875])
     @pytest.mark.parametrize("graph", sorted(CHAINS))
     def test_marginals_match_dense_walk(self, graph, s, marked):
-        c = lazy(self.CHAINS[graph]())
-        n = c.n
-        ic = InterpolatedChain(c, frozenset(marked), s)
-        _, sqrt_pi_u = walks._pi_states(c, frozenset(marked))
-        psi0 = edge_zero_state(sqrt_pi_u)
-        cache = walks._PowerCache(WalkOperator(ic), psi0)
+        sch = walks._SearchSchedule(self.CHAINS[graph](), marked,
+                                    SearchConfig(), 1)
+        sch.max_e = 29      # a table reaching power 29, whatever d is
+        n = sch.chain.n
+        ic = InterpolatedChain(sch.chain, frozenset(marked), s)
+        psi0 = edge_zero_state(sch.sqrt_pi_u)
         dense = DenseWalk(ic).powers(psi0.amplitudes, 29)
+        table = sch.table(s)
+        assert table.shape == (30, n)
         for e, ref in enumerate(dense):
-            got = node_marginal(StateVector(cache.state(e).ravel()), n)
             want = node_marginal(StateVector(ref), n)
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert abs(got[list(marked)].sum() - want[list(marked)].sum()) \
-                <= 1e-12
+            assert np.max(np.abs(table[e] - want)) <= 1e-12
+            assert abs(table[e, list(marked)].sum()
+                       - want[list(marked)].sum()) <= 1e-12
+        assert np.array_equal(sch.dmat[s], discriminant(ic).entries)
 
     def test_start_requires_zero_first_register(self, walk_c4):
         amps = np.zeros(16, dtype=complex)
@@ -391,6 +400,68 @@ class TestSearch:
         assert theorem1_slack(c, marked, SearchConfig(), 1) >= -1e-9
 
 
+SEARCH_CASES = {
+    "cycle:8": (lambda: cycle_chain(8), {0}),
+    "complete:6": (lambda: complete_chain(6), {0}),
+    "random:7": (lambda: _random_reversible(np.random.default_rng(5), 7),
+                 {1, 4}),
+}
+
+
+class TestScheduleTables:
+    """Trials, oracle and slack read the schedule's mixture and node-marginal
+    tables; the state-level references of walk_oracle step to edge states."""
+
+    @pytest.mark.parametrize("algo", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_trials_match_stepped_path(self, case, algo):
+        chain, marked = SEARCH_CASES[case]
+        cfg = SearchConfig(master_seed=17)
+        got = run_search_trials(chain(), marked, cfg, 400, algo)
+        assert got == stepped_search_trials(chain(), marked, cfg, 400, algo)
+        assert any(o.walk_steps_applied > 0 for o in got)
+
+    @pytest.mark.parametrize("algo", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_oracle_and_slack_match_branch_enumeration(self, case, algo):
+        chain, marked = SEARCH_CASES[case]
+        cfg = SearchConfig()
+        assert abs(predicted_search_success(chain(), marked, cfg, algo)
+                   - enumerated_search_success(chain(), marked, cfg, algo)) \
+            <= 1e-14
+        assert abs(theorem1_slack(chain(), marked, cfg, algo)
+                   - enumerated_slack(chain(), marked, cfg, algo)) <= 1e-14
+
+    @pytest.mark.parametrize("c_t", [1.0, 3.0])
+    @pytest.mark.parametrize("algo", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_steps_stay_within_max_e(self, case, algo, c_t):
+        chain, marked = SEARCH_CASES[case]
+        sch = walks._SearchSchedule(chain(), marked, SearchConfig(c_t=c_t), algo)
+        assert sch.max_e == (sch.d if algo == 1 else sch.dprime)
+        # every monomial degree a trial can draw: t, or the Poisson draw l
+        draws = range(int(sch.big_t) + 1) if algo == 1 else range(sch.d + 1)
+        for x in draws:
+            exps, probs = sch.steps(x)
+            assert 0 <= exps.min() and exps.max() <= sch.max_e
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        for t in range(int(sch.big_t) + 1):
+            mix = sch.mixture(t)
+            assert mix.shape == (sch.max_e + 1,)
+            assert mix.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sch.table(0.5).shape == (sch.max_e + 1, sch.chain.n)
+
+    def test_mixture_matches_branches(self):
+        chain, marked = SEARCH_CASES["cycle:8"]
+        for algo in (1, 2):
+            sch = walks._SearchSchedule(chain(), marked, SearchConfig(), algo)
+            for t in range(int(sch.big_t) + 1):
+                ref = np.zeros(sch.max_e + 1)
+                for pr, e in branches(t, sch.d, sch.dprime):
+                    ref[e] += pr
+                assert np.max(np.abs(sch.mixture(t) - ref)) <= 1e-15
+
+
 class TestEdgelist:
     def test_parse_and_normalize(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -418,6 +489,19 @@ class TestEdgelist:
         f = tmp_path / "g.txt"
         f.write_text("# nothing\n")
         with pytest.raises(ValueError):
+            chain_from_edgelist(str(f))
+
+    def test_non_integer_node_rejected(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("0 1 1.0\nx 2 1.0\n")
+        with pytest.raises(ValueError, match="line 2"):
+            chain_from_edgelist(str(f))
+
+    def test_negative_node_rejected(self, tmp_path):
+        # -1 must not wrap around to the last node
+        f = tmp_path / "g.txt"
+        f.write_text("0 1 1.0\n2 3 1.0\n-1 1 5.0\n")
+        with pytest.raises(ValueError, match="line 3"):
             chain_from_edgelist(str(f))
 
     def test_isolated_node(self, tmp_path):

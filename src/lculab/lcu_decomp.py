@@ -108,12 +108,11 @@ def term_unitaries(decomp: LcuDecomposition, h: DenseOperator):
 
 
 def realized_sum(decomp: LcuDecomposition, h: DenseOperator) -> np.ndarray:
-    """Dense sum_j c_j U_j (the operator the decomposition approximates)."""
-    acc = None
-    for c, u in zip(decomp.coeffs.tolist(), term_unitaries(decomp, h)):
-        m = c * u
-        acc = m if acc is None else acc + m
-    return acc
+    """Dense sum_j c_j U_j (the operator the decomposition approximates), as
+    V g(Lambda) V^dag from one checked eigendecomposition H = V Lambda V^dag,
+    with g the scalar symbol."""
+    evals, evecs = hermitian_eigh(h)
+    return (evecs * scalar_function(decomp, evals)) @ evecs.conj().T
 
 
 def time_evolution_state_batch(decomp: LcuDecomposition, h: DenseOperator,
@@ -129,17 +128,16 @@ def time_evolution_state_batch(decomp: LcuDecomposition, h: DenseOperator,
 
 def scalar_function(decomp: LcuDecomposition, xs: np.ndarray) -> np.ndarray:
     """sum_j c_j phase_j e^{-i x d_j}: the scalar symbol of the
-    decomposition, evaluated on a grid of eigenvalues."""
+    decomposition, evaluated on a grid of eigenvalues.  A decomposition
+    built by inverse_lcu (its info holds J) takes the closed form of its
+    j-sums, the same symbol its calibration checked."""
     xs = np.asarray(xs, dtype=float)
-    durations = decomp.durations
+    info = decomp.info
+    if "J" in info:
+        return _inverse_symbol(xs, info["J"], info["K"], info["delta_y"],
+                               info["delta_z"])
     weights = decomp.coeffs * decomp.phases
-    # chunk the grid: the phase table is len(xs) * n_terms complex entries
-    chunk = max(1, int(5_000_000 // max(len(durations), 1)))
-    out = np.empty(len(xs), dtype=complex)
-    for lo in range(0, len(xs), chunk):
-        hi = min(lo + chunk, len(xs))
-        out[lo:hi] = np.exp(-1j * np.outer(xs[lo:hi], durations)) @ weights
-    return out
+    return np.exp(-1j * np.outer(xs, decomp.durations)) @ weights
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +180,19 @@ def gaussian_lcu(t: float, gamma: float) -> LcuDecomposition:
 # ---------------------------------------------------------------------------
 # discretized inverse
 
-def _inverse_scalar_error(big_j, big_k, dy, dz, kappa) -> float:
-    """sup |1/x - g(x)| on the two-sided eigenvalue domain, using the
-    geometric structure of the j-sum so the check stays cheap."""
-    half = np.linspace(1.0 / kappa, 1.0, SCALAR_GRID_POINTS // 2)
-    xs = np.concatenate([-half, half])
+def _inverse_symbol(xs, big_j, big_k, dy, dz) -> np.ndarray:
+    """g(x) = sum_{k != 0} w_k sum_{j < J} e^{-i x z_k dy j} with z_k = k dz
+    and w_k = i dy dz z_k e^{-z_k^2/2} / sqrt(2 pi).  Each j-sum is a
+    geometric series, e^{-i (J-1) theta/2} sin(J theta/2) / sin(theta/2)
+    with theta = x z_k dy, so the cost is len(xs) * 2K, not len(xs) * 2KJ."""
     ks = np.arange(-big_k, big_k + 1)
-    ks = ks[ks != 0]
-    zs = ks * dz
+    zs = ks[ks != 0] * dz
     w = dy * dz / math.sqrt(2 * math.pi) * zs * np.exp(-zs * zs / 2) * 1j
-    # sum_j e^{-i x z dy j} is a geometric series of length big_j
-    q = np.exp(-1j * np.outer(xs, zs) * dy)            # (nx, nk)
+    half = np.outer(xs, zs) * (dy / 2)                 # (nx, nk), theta / 2
+    s = np.sin(half)
     with np.errstate(divide="ignore", invalid="ignore"):
-        geo = np.where(np.isclose(q, 1.0), big_j, (1 - q ** big_j) / (1 - q))
-    g = geo @ w
-    return float(np.max(np.abs(1.0 / xs - g)))
+        dirichlet = np.where(s == 0, float(big_j), np.sin(big_j * half) / s)
+    return (np.exp(-1j * (big_j - 1) * half) * dirichlet) @ w
 
 
 def inverse_lcu(kappa: float, gamma: float) -> LcuDecomposition:
@@ -206,7 +202,8 @@ def inverse_lcu(kappa: float, gamma: float) -> LcuDecomposition:
     calibration loop refines the grids until the scalar sup bound holds;
     final J and K are reported in info.  Terms run k-major: for each
     k != 0 in -K..K, the J terms j = 0..J-1 share the coefficient and phase
-    of z_k = k dz and have durations j dy z_k.
+    of z_k = k dz and have durations j dy z_k.  info's J, K, delta_y and
+    delta_z define the symbol that scalar_function evaluates in closed form.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -217,11 +214,14 @@ def inverse_lcu(kappa: float, gamma: float) -> LcuDecomposition:
     big_k = math.ceil(kappa * math.sqrt(lg))
     y_max = kappa * math.sqrt(2 * lg)
     z_max = math.sqrt(2 * lg)
+    # sup |1/x - g(x)| is checked on the two-sided eigenvalue domain
+    half = np.linspace(1.0 / kappa, 1.0, SCALAR_GRID_POINTS // 2)
+    xs = np.concatenate([-half, half])
     err = math.inf
     for _ in range(12):
         dy = y_max / big_j
         dz = z_max / big_k
-        err = _inverse_scalar_error(big_j, big_k, dy, dz, kappa)
+        err = float(np.max(np.abs(1.0 / xs - _inverse_symbol(xs, big_j, big_k, dy, dz))))
         if err <= gamma:
             break
         big_j *= 2

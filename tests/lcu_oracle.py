@@ -1,4 +1,5 @@
-"""Polynomial references for the tests of `lculab.lcu_decomp`: the
+"""References for the tests of `lculab.lcu_decomp`: the term-by-term
+scalar symbol and realized operator of a time-evolution decomposition, the
 truncated Chebyshev expansion of x^t evaluated on a grid, and the
 Poisson-weighted exponential polynomial q(x) = e^{-t} sum_j (t^j/j!)
 p_{j,d'}(x), the degree-d' proxy for e^{-t(1-x)} and, through
@@ -11,7 +12,29 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from lculab.lcu_decomp import chebyshev_power_coeffs
+from lculab.lcu_decomp import chebyshev_power_coeffs, term_unitaries
+
+
+def direct_scalar_function(decomp, xs: np.ndarray) -> np.ndarray:
+    """sum_j c_j phase_j e^{-i x d_j}, summed over every term, whatever the
+    decomposition's kind; the grid is chunked so that the phase table stays
+    near 5e6 complex entries."""
+    xs = np.asarray(xs, dtype=float)
+    weights = decomp.coeffs * decomp.phases
+    chunk = max(1, int(5_000_000 // max(decomp.n_terms, 1)))
+    out = np.empty(len(xs), dtype=complex)
+    for lo in range(0, len(xs), chunk):
+        out[lo:lo + chunk] = np.exp(-1j * np.outer(xs[lo:lo + chunk],
+                                                   decomp.durations)) @ weights
+    return out
+
+
+def direct_realized_sum(decomp, h) -> np.ndarray:
+    """sum_j c_j phase_j e^{-i d_j H}, one dense term at a time."""
+    acc = 0
+    for c, u in zip(decomp.coeffs.tolist(), term_unitaries(decomp, h)):
+        acc = acc + c * u
+    return acc
 
 
 def chebyshev_power_eval(t: int, d: int, xs: np.ndarray) -> np.ndarray:

@@ -106,6 +106,7 @@ def test_criterion_03_chebyshev_power_bound():
 
 def test_criterion_04_inverse_scalar_bound():
     kappa, gamma = 10.0, 1e-2
+    start = time.monotonic()
     dec = inverse_lcu(kappa, gamma)
     xs = np.concatenate([np.linspace(-1.0, -1 / kappa, 2000),
                          np.linspace(1 / kappa, 1.0, 2000)])
@@ -113,6 +114,7 @@ def test_criterion_04_inverse_scalar_bound():
     assert err <= gamma
     assert dec.info["J"] >= 1 and dec.info["K"] >= 1
     assert dec.info["scalar_sup_error"] <= gamma
+    assert time.monotonic() - start < 2.0
 
 
 def test_criterion_05_estimator_unbiasedness():

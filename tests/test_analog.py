@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,84 @@ class TestEngineVsOracle:
         with pytest.raises(ValueError):
             evolve_bilinear(DenseOperator(Z, hermitian=True), basis_state(1, 0),
                             [gaussian_ground(g)] * 3, 1.0)
+
+
+def _direct_overlap(freqs, gy, gz, a, b):
+    """The double sum sum_jk a_j b_k e^{-i w y_j z_k}, one n x m table per w."""
+    yz = np.outer(gy.points, gz.points)
+    return np.array([a @ np.exp(-1j * w * yz) @ b for w in freqs])
+
+
+def _uniform_grid(rng, n):
+    centre, half = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)
+    pts = np.linspace(centre - half, centre + half, n)
+    return QumodeGrid(points=pts, weights=np.full(n, 2 * half / n), kind="line")
+
+
+class TestBilinearOverlap:
+    """The two-ancilla overlap (one FFT correlation per eigenvalue) against
+    the direct double sum.  Errors are relative to sum_jk |a_j b_k|, the
+    scale of the sum, since a single overlap can vanish (ground against
+    first excited state at lambda = 0)."""
+
+    FREQS = np.array([-30.0, -7.3, -0.4, 0.0, 1.1, 12.9, 25.3, 30.0])
+
+    @pytest.mark.parametrize("n,m", [(33, 48), (64, 17), (101, 100), (2, 1)])
+    def test_random_uniform_grids(self, n, m):
+        rng = np.random.default_rng([n, m])
+        gy, gz = _uniform_grid(rng, n), _uniform_grid(rng, m)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        got = analog._bilinear_overlap(self.FREQS, gy, gz, a, b)
+        ref = _direct_overlap(self.FREQS, gy, gz, a, b)
+        scale = np.sum(np.abs(a)) * np.sum(np.abs(b))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("ring", [True, False], ids=["line+ring", "line+line"])
+    def test_runner_grids(self, n, ring):
+        # the check grid (z_max, 512) and the reported grid (1.25 z_max, 1024)
+        # of the two-ancilla runners at eps = 0.1, with their ancilla states
+        z_max = (8.0 + math.sqrt(2 * math.log(10.0))) * (1.25 if n == 1024 else 1.0)
+        gy = line_grid(z_max, n)
+        if ring:
+            gz = ring_grid(n)
+            a = gy.weights * gaussian_ground(gy).amplitudes \
+                * harmonic_first_excited(gy).amplitudes
+            b = gz.weights * ring_flat(gz).amplitudes
+        else:
+            gz = gy
+            a = b = gy.weights * gaussian_ground(gy).amplitudes ** 2
+        got = analog._bilinear_overlap(self.FREQS, gy, gz, a, b)
+        ref = _direct_overlap(self.FREQS, gy, gz, a, b)
+        scale = np.sum(np.abs(a)) * np.sum(np.abs(b))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    def test_non_uniform_grid_rejected(self):
+        g = line_grid(5.0, 65)
+        pts = g.points.copy()
+        pts[10] += 1e-6
+        bent = QumodeGrid(points=pts, weights=g.weights, kind="line")
+        anc = gaussian_ground(bent)
+        hyb = evolve_bilinear(DenseOperator(Z, hermitian=True), basis_state(1, 0),
+                              [anc, ring_flat(ring_grid(16))], 1.0)
+        with pytest.raises(ValueError, match="uniform"):
+            project_ancilla(hyb, [anc, ring_flat(ring_grid(16))])
+
+    def test_no_dense_table(self):
+        # a 1024 x 1024 complex table per eigenvalue would take 16 MB
+        rng = np.random.default_rng(11)
+        gy, gz = line_grid(12.7, 1024), ring_grid(1024)
+        ancs = [harmonic_first_excited(gy), ring_flat(gz)]
+        hyb = evolve_bilinear(_random_hermitian(rng, 4), basis_state(2, 0), ancs, 9.0)
+        tgts = [gaussian_ground(gy), ring_flat(gz)]
+        tracemalloc.start()
+        try:
+            project_ancilla(hyb, tgts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestScalarOracles:

@@ -411,7 +411,7 @@ REPORT_GOLDEN = {
         '"l1_norm": 0.99985322628054418, "n_terms": 85, '
         '"scalar_sup_error": 0.00014675873625935587, '
         '"tau_max": 26.520431941187621, '
-        '"matrix_sup_error": 4.3136123133733287e-07}, "timings": {}, '
+        '"matrix_sup_error": 4.313612313026384e-07}, "timings": {}, '
         '"version": "0.2.0"}'
     ),
     "decomp-check-inverse": (
@@ -424,9 +424,9 @@ REPORT_GOLDEN = {
         '"seed": 0, "t": 1, "trace": false}, '
         '"results": {"kind": "inverse", "params": {"kappa": 2, '
         '"gamma": 0.10000000000000001}, "l1_norm": 4.7992403009160123, '
-        '"n_terms": 1120, "scalar_sup_error": 0.022781281854812097, '
+        '"n_terms": 1120, "scalar_sup_error": 0.022781281854814761, '
         '"tau_max": 18.723326709712445, '
-        '"matrix_sup_error": 0.0023366605748191666}, "timings": {}, '
+        '"matrix_sup_error": 0.0023366605748183738}, "timings": {}, '
         '"version": "0.2.0"}'
     ),
 }

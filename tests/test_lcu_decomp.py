@@ -28,6 +28,8 @@ from lculab.lcu_decomp import (
 )
 from lcu_oracle import (
     chebyshev_power_eval,
+    direct_realized_sum,
+    direct_scalar_function,
     exp_poly_coeffs,
     exp_poly_eval,
     gaussian_poly_eval,
@@ -105,6 +107,23 @@ class TestInverseLcu:
     def test_tau_max_reported(self, dec10):
         durations = np.abs(dec10.durations)
         assert max(durations) <= dec10.info["tau_max"] + 1e-9
+
+    @pytest.mark.parametrize("kappa", [2.0, 5.0, 10.0])
+    def test_closed_form_matches_term_sum(self, kappa):
+        # scalar_function sums each j-series in closed form; the arrays hold
+        # every term, and the two must agree on and off the calibration grid
+        dec = inverse_lcu(kappa, 1e-2)
+        half = np.linspace(1 / kappa, 1.0, 20)
+        xs = np.concatenate([-half, half, [0.0, 1e-7, 0.5 / kappa, 1.3]])
+        assert np.max(np.abs(scalar_function(dec, xs)
+                             - direct_scalar_function(dec, xs))) <= 1e-12
+
+    def test_realized_sum_matches_term_sum(self):
+        rng = np.random.default_rng(7)
+        hd = _random_unit_hermitian(rng, 4)
+        dec = inverse_lcu(2.0, 1e-1)
+        assert np.max(np.abs(realized_sum(dec, hd)
+                             - direct_realized_sum(dec, hd))) <= 1e-12
 
 
 class TestTaylorSegment:

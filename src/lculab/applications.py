@@ -24,6 +24,7 @@ from .estimator import (
     ProductSampler,
     cost_summary,
     observable_norm,
+    prepare,
     required_repetitions,
     single_ancilla_lcu,
     expectation_observable,
@@ -36,6 +37,9 @@ from .lcu_decomp import (
 )
 
 FLATTEN_CAP = 4096
+# prepared forms kept at once; each holds its decomposition's arrays and the
+# state batch of the last input state it saw (M * dim complex entries)
+PREPARED_CACHE_SIZE = 8
 
 # decomposition generation is deterministic in its parameters, so repeated
 # runs (seed sweeps) reuse the same object
@@ -43,6 +47,22 @@ import functools
 
 _cached_inverse_lcu = functools.lru_cache(maxsize=16)(inverse_lcu)
 _cached_gaussian_lcu = functools.lru_cache(maxsize=16)(gaussian_lcu)
+
+
+@functools.lru_cache(maxsize=PREPARED_CACHE_SIZE)
+def _cached_prepared(kind: str, params: tuple, h: PauliHamiltonian):
+    """The sampleable form of one decomposition on one Hamiltonian, which
+    neither the observable nor the seed changes; the key compares H by
+    value.  "inverse" and "gaussian" take the parameters of their cached
+    builder and return a PreparedLcu whose context is H as a dense matrix;
+    "taylor" takes (t, r, K) and returns the flattened product of the
+    Taylor segment, or its ProductSampler when it does not flatten."""
+    if kind == "taylor":
+        sampler = ProductSampler(SegmentLcu(h, *params))
+        flat = sampler.flatten(FLATTEN_CAP)
+        return sampler if flat is None else flat
+    build = _cached_inverse_lcu if kind == "inverse" else _cached_gaussian_lcu
+    return prepare(build(*params), ham_to_dense(h))
 
 
 @dataclass(frozen=True)
@@ -126,10 +146,7 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
     gamma = epsilon / (6 * norm_o)
     x = t_tilde / r
     bigk = taylor_truncation_order(x, r, gamma)
-    seg = SegmentLcu(h, t, r, bigk)
-    sampler = ProductSampler(seg)
-    flat = sampler.flatten(FLATTEN_CAP)
-    lcu = sampler if flat is None else flat
+    lcu = _cached_prepared("taylor", (t, r, bigk), h)
     c1 = lcu.l1_norm
     t_reps = (repetitions_override if repetitions_override is not None
               else required_repetitions(norm_o, c1, epsilon, delta))
@@ -138,7 +155,8 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
     mu, recs, (mean, std) = expectation_observable(
         lcu, psi0, o, t_reps, cfg, context=h, collect_records=collect_records)
     info = {"r": r, "K": bigk, "c1": c1, "gamma": gamma,
-            "tau_max_bound": (bigk + 1) * r, "flattened": flat is not None}
+            "tau_max_bound": (bigk + 1) * r,
+            "flattened": not isinstance(lcu, ProductSampler)}
     if recs is not None:
         info["records"] = recs
     return EstimateReport(
@@ -164,13 +182,13 @@ def gsp_estimate(p: GspProblem, o, epsilon: float, delta: float, seed: int,
     t = (1.0 / (2 * gap ** 2)) * math.log(
         8 * norm_o ** 2 * (1 - eta ** 2) / (epsilon ** 2 * eta ** 2)) + 1
     gamma = epsilon * eta ** 2 / (30 * norm_o)
-    dec = _cached_gaussian_lcu(t, gamma)
+    lcu = _cached_prepared("gaussian", (t, gamma), scaled)
+    dec, context = lcu.decomp, lcu.context
     cfg = EstimatorConfig(epsilon=epsilon, delta=delta, mode=mode,
                           repetitions_override=repetitions_override,
                           master_seed=seed, ell_star=eta ** 2)
-    context = ham_to_dense(scaled)
-    lcu = dec
     if unitary_error is not None:
+        # the perturbed unitaries depend on the seed: built per call
         from ._kernels import make_rng
         from .estimator import PerturbedLcu
         lcu = PerturbedLcu(dec, context, unitary_error, make_rng(seed, 99))
@@ -191,12 +209,12 @@ def qls_estimate(p: QlsProblem, o, epsilon: float, delta: float, seed: int,
     Fourier quadrature of 1/x; the normalization lower bound is 1."""
     norm_o = observable_norm(o)
     gamma = epsilon / (18 * norm_o)
-    dec = _cached_inverse_lcu(p.kappa, gamma)
+    lcu = _cached_prepared("inverse", (p.kappa, gamma), p.hamiltonian)
+    dec = lcu.decomp
     cfg = EstimatorConfig(epsilon=epsilon, delta=delta, mode=mode,
                           repetitions_override=repetitions_override,
                           master_seed=seed, ell_star=1.0)
-    context = ham_to_dense(p.hamiltonian)
-    report = single_ancilla_lcu(dec, p.b_state, o, cfg, context=context,
+    report = single_ancilla_lcu(lcu, p.b_state, o, cfg, context=lcu.context,
                                 collect_records=collect_records)
     info = {"gamma": gamma, "J": dec.info["J"], "K": dec.info["K"],
             "tau_max_formula": dec.info["tau_max"], "c1": dec.l1_norm,

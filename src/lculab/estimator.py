@@ -27,6 +27,7 @@ from .lcu_decomp import (
     LcuDecomposition,
     SegmentLcu,
     apply_pauli_rotation,
+    left_to_right_sum,
     term_unitaries,
     time_evolution_state_batch,
 )
@@ -124,24 +125,30 @@ class PreparedLcu:
         self.l1_norm = l1_norm
         self.probs = coeffs / l1_norm
         self.costs = costs
+        self.probs.setflags(write=False)
+        self.costs.setflags(write=False)
         self.tau_max = float(costs.max()) if len(costs) else 0.0
         self.avg_cost = float(self.probs @ costs)
-        self._batch_cache: tuple | None = None   # (psi0, rows)
+        self._batch_cache: tuple | None = None   # (amplitude bytes, rows)
 
     @property
     def n_terms(self) -> int:
         return len(self.probs)
 
     def _batch(self, psi0: StateVector, rows) -> np.ndarray:
-        """rows(psi0), cached for the last state seen.  The cache holds psi0
-        itself and matches by identity, so a new state that reuses a freed
-        state's id never gets the freed state's rows."""
-        if self._batch_cache is not None and self._batch_cache[0] is psi0:
+        """rows(psi0), read-only, cached for the last input state.  The
+        cache holds a copy of psi0's amplitudes and matches by value: an
+        equal state reuses the rows, and a different one (a new state, or
+        the same array written through another view) never gets stale
+        rows."""
+        key = psi0.amplitudes.tobytes()
+        if self._batch_cache is not None and self._batch_cache[0] == key:
             return self._batch_cache[1]
         if self.n_terms * psi0.dim > ENUMERATED_STATE_CAP:
             raise MemoryError("enumerated state batch too large")
         u = rows(psi0)
-        self._batch_cache = (psi0, u)
+        u.setflags(write=False)
+        self._batch_cache = (key, u)
         return u
 
     def states(self, psi0: StateVector) -> np.ndarray:
@@ -215,7 +222,7 @@ class PreparedProductLcu(PreparedLcu):
     order."""
 
     def __init__(self, coeffs: np.ndarray, factors: tuple, segment: SegmentLcu):
-        self._set_terms(coeffs, float(sum(coeffs.tolist())),
+        self._set_terms(coeffs, left_to_right_sum(coeffs),
                         np.array([_product_cost(ds) for ds in factors]))
         self.factors = factors
         self.segment = segment
@@ -399,7 +406,8 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                                (costs[j1] + costs[j2]).tolist()))
 
     u = prepared.states(psi0)
-    ou = u @ o.entries.T
+    # O = I (the normalization phase) leaves the rows as they are
+    ou = u if np.array_equal(o.entries, np.eye(o.dim)) else u @ o.entries.T
     return _kernels.pair_accumulate(u, ou, prepared.probs, key1, key2, t_reps,
                                     shot=shot, sink=sink)
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lculab import applications
 from lculab.applications import (
+    PREPARED_CACHE_SIZE,
     GspProblem,
     QlsProblem,
     _shift_rescale,
@@ -176,3 +178,92 @@ class TestQls:
         assert abs(rep.ratio - exact) <= 0.3
         for key in ("gamma", "J", "K", "tau_max_formula", "c1", "kappa"):
             assert key in rep.info
+
+
+def _uncached(estimate, *args, **kwargs):
+    """estimate(*args, **kwargs) after emptying every cache of
+    applications: a recomputation with no cached form or state batch."""
+    for cache in (applications._cached_prepared,
+                  applications._cached_inverse_lcu,
+                  applications._cached_gaussian_lcu):
+        cache.cache_clear()
+    return estimate(*args, **kwargs)
+
+
+def _qls(h_text, b, seed=3):
+    problem = QlsProblem(parse_pauli_text(h_text), 2.0, b)
+    return qls_estimate, (problem, ZI, 0.3, 0.2), {
+        "seed": seed, "repetitions_override": 2000}
+
+
+def _gsp(h_text, seed=3, unitary_error=None):
+    problem = GspProblem(parse_pauli_text(h_text), 0.9, 0.7, -0.5, 0.01,
+                         basis_state(2, 0))
+    return gsp_estimate, (problem, ZI, 0.2, 0.1), {
+        "seed": seed, "repetitions_override": 2000,
+        "unitary_error": unitary_error}
+
+
+def _hamsim(h_text):
+    return hamsim_estimate, (parse_pauli_text(h_text), 1.0,
+                             DenseOperator(Z, hermitian=True), plus_state(1),
+                             0.2, 0.2), {"seed": 3}
+
+
+class TestPreparedCache:
+    """A cached prepared form must never hand out rows of another problem:
+    each warm estimate equals a recomputation with no cache."""
+
+    @pytest.mark.parametrize("first,second", [
+        (_qls("0.75*ZZ+0.25*XX", basis_state(2, 0)),
+         _qls("0.25*ZZ+0.75*XX", basis_state(2, 0))),
+        (_gsp("0.5*II-0.5*ZZ+0.1*XI"), _gsp("0.5*II-0.5*ZZ+0.1*IX")),
+        (_hamsim("0.3*X+0.4*Z"), _hamsim("0.4*X+0.3*Z")),
+    ], ids=["qls", "gsp", "hamsim"])
+    def test_changed_hamiltonian(self, first, second):
+        # same decomposition key, another Hamiltonian
+        fn, args, kwargs = first
+        fn(*args, **kwargs)
+        fn, args, kwargs = second
+        warm = fn(*args, **kwargs)
+        assert warm == _uncached(fn, *args, **kwargs)
+
+    def test_other_input_state(self):
+        b2 = StateVector(np.array([0.6, 0.0, 0.0, 0.8]))
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", basis_state(2, 0))
+        fn(*args, **kwargs)
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", b2)
+        warm = fn(*args, **kwargs)
+        assert warm == _uncached(fn, *args, **kwargs)
+
+    def test_perturbed_unitaries_follow_the_seed(self):
+        fn, args, kwargs = _gsp("0.5*II-0.5*ZZ+0.1*XI", seed=1,
+                                unitary_error=0.05)
+        first = fn(*args, **kwargs)
+        fn, args, kwargs = _gsp("0.5*II-0.5*ZZ+0.1*XI", seed=2,
+                                unitary_error=0.05)
+        warm = fn(*args, **kwargs)
+        assert warm == _uncached(fn, *args, **kwargs)
+        assert warm.mu != first.mu
+
+    def test_state_written_through_another_view(self):
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        view = amps[:]
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", StateVector(amps))
+        fn(*args, **kwargs)
+        view[:] = [0.6, 0.0, 0.0, 0.8]
+        warm = fn(*args, **kwargs)
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX",
+                                StateVector(np.array([0.6, 0.0, 0.0, 0.8])))
+        assert warm == _uncached(fn, *args, **kwargs)
+
+    def test_equal_problem_is_a_hit_and_cache_clear_empties(self):
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", basis_state(2, 0))
+        _uncached(fn, *args, **kwargs)
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", basis_state(2, 0), seed=4)
+        fn(*args, **kwargs)
+        info = applications._cached_prepared.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == PREPARED_CACHE_SIZE
+        applications._cached_prepared.cache_clear()
+        assert applications._cached_prepared.cache_info().currsize == 0

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from lculab import _kernels, analog, core_algebra, estimator, lcu_decomp, walks
+from lculab import (
+    _kernels,
+    analog,
+    applications,
+    core_algebra,
+    estimator,
+    lcu_decomp,
+    walks,
+)
 from lculab.harness import parse_config, run
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -104,3 +112,31 @@ def test_analog_qls_op_reaches_traced_layers(monkeypatch):
     (n, _), (n2, _) = sizes
     assert n2 == 2 * n
     assert projects == [2, 2]
+
+
+def test_warm_qls_op_reaches_traced_layers(monkeypatch):
+    # estimator.prepare_s and estimator.state_batch_s read the prepare and
+    # PreparedLcu.states spans: an op whose prepared form and state batch
+    # are cached must still call both, or the metrics read zero
+    config = parse_config("qls", {"hamiltonian": "0.75*ZZ+0.25*XX",
+                                  "kappa": "2", "observable": "1.0*ZI",
+                                  "repetitions": "200"})
+    run(config)
+    hits = applications._cached_prepared.cache_info().hits
+    calls = {"prepare": 0, "states": 0}
+    prepare, states = estimator.prepare, estimator.PreparedLcu.states
+
+    def counted_prepare(*args, **kwargs):
+        calls["prepare"] += 1
+        return prepare(*args, **kwargs)
+
+    def counted_states(self, *args, **kwargs):
+        calls["states"] += 1
+        return states(self, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "prepare", counted_prepare)
+    monkeypatch.setattr(estimator.PreparedLcu, "states", counted_states)
+    run(config)
+    assert applications._cached_prepared.cache_info().hits == hits + 1
+    assert calls["prepare"] >= 1
+    assert calls["states"] >= 1

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lculab._kernels import make_rng
+from lculab._kernels import derive_key, make_rng, pair_accumulate
 from lculab.core_algebra import (
     DenseOperator,
     ObservableLcu,
@@ -22,6 +24,7 @@ from lculab.estimator import (
     EstimatorConfig,
     NormUnderflowError,
     PerturbedLcu,
+    PreparedProductLcu,
     ProductSampler,
     cost_summary,
     expectation_observable,
@@ -344,6 +347,57 @@ class TestStateBatchCache:
     def test_same_state_reuses_rows(self, kind):
         prepared, psi0, _ = _enumerated_case(kind)
         assert prepared.states(psi0) is prepared.states(psi0)
+
+    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
+    def test_equal_state_reuses_read_only_rows(self, kind):
+        prepared, psi0, _ = _enumerated_case(kind)
+        rows = prepared.states(psi0)
+        assert prepared.states(StateVector(psi0.amplitudes.copy())) is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_rows_follow_a_write_through_another_view(self):
+        # the state's array stays writable through a view taken before the
+        # state froze it; the cache matches amplitudes, not the object
+        h = ham_to_dense(parse_pauli_text("0.5*Z+0.3*X"))
+        prepared = prepare(_two_term_lcu(), h)
+        amps = np.array([1.0, 0.0], dtype=complex)
+        view = amps[:]
+        psi = StateVector(amps)
+        prepared.states(psi)
+        view[:] = [0.6, 0.8]
+        expected = np.stack([u @ np.array([0.6, 0.8])
+                             for u in _term_matrices(_two_term_lcu(), h)])
+        assert np.allclose(prepared.states(psi), expected, atol=1e-12)
+
+
+class TestIdentityObservable:
+    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
+    def test_skipped_product_changes_no_sum(self, kind):
+        # with O = I (the normalization phase) the kernel gets the rows
+        # themselves as O u; u @ I differs from them at most in the sign of
+        # exact zeros, which no sum sees
+        prepared, psi0, _ = _enumerated_case(kind)
+        ident = DenseOperator(np.eye(psi0.dim), hermitian=True, unitary=True)
+        cfg = EstimatorConfig(epsilon=0.1, delta=0.1, master_seed=6)
+        mu, _, (mean, _) = expectation_observable(prepared, psi0, ident,
+                                                  5000, cfg)
+        u = prepared.states(psi0)
+        s, _ = pair_accumulate(u, u @ ident.entries.T, prepared.probs,
+                               derive_key(6, 0, 0, 1), derive_key(6, 0, 0, 2),
+                               5000)
+        assert mean == s / 5000
+        assert mu == prepared.l1_norm ** 2 * (s / 5000)
+
+
+def test_flattened_product_l1_is_the_left_to_right_sum():
+    seg = SegmentLcu(parse_pauli_text("0.3*X+0.4*Z"), 1.0, 2, 4)
+    flat = ProductSampler(seg).flatten()
+    assert flat.n_terms == 42 * 42
+    coeffs = (np.random.default_rng(3).random(flat.n_terms)
+              * np.logspace(-8, 8, flat.n_terms))
+    prod = PreparedProductLcu(coeffs, flat.factors, seg)
+    assert prod.l1_norm == functools.reduce(operator.add, coeffs.tolist())
 
 
 class TestSingleAncillaLcu:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lculab import _kernels
 from lculab._kernels import (
@@ -122,6 +124,63 @@ class TestPairKernel:
                            derive_key(2, 0, 0, 2), 0, 200000)
         freq = np.bincount(j1, minlength=len(probs)) / 200000
         assert np.max(np.abs(freq - probs)) < 0.005
+
+
+def _searchsorted_draws(probs, key, start, count):
+    """The unsorted reference: np.searchsorted over the CDF, clipped."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    j = np.searchsorted(cum, counter_uniforms(key, start, count), side="right")
+    return np.clip(j, 0, len(cum) - 1)
+
+
+@st.composite
+def draw_cases(draw):
+    """(probs, key1, key2, start, count) for pair_draws.  Weights mix
+    ordinary and tiny values, so runs of equal CDF values occur; in half the
+    cases the first CDF value is one of key1's uniforms, exactly."""
+    key1 = draw(st.integers(0, 2 ** 64 - 1))
+    key2 = draw(st.integers(0, 2 ** 64 - 1))
+    start = draw(st.integers(0, 10 ** 9))
+    count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)))
+    weights = np.array(draw(st.lists(
+        st.one_of(st.floats(0.01, 1.0), st.floats(1e-300, 1e-17)),
+        min_size=1, max_size=80)))
+    probs = weights / weights.sum()
+    if count and len(probs) > 1 and draw(st.booleans()):
+        u0 = counter_uniforms(key1, start, count)[draw(st.integers(0, count - 1))]
+        probs = np.concatenate(([u0], (1 - u0) * weights[1:] / weights[1:].sum()))
+    return probs, key1, key2, start, count
+
+
+class TestPairDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(case=draw_cases())
+    @example(case=(np.array([1.0]), 1, 2, 0, 50))
+    @example(case=(np.array([0.5, 1e-300, 0.5]), 3, 4, 7, 0))
+    @example(case=(np.array([0.3, 1e-300, 1e-300, 0.7]), 5, 6, 11, 1))
+    def test_sorted_search_equals_searchsorted(self, case):
+        # both search paths, whatever the term count, give the draws of the
+        # unsorted search bit for bit
+        probs, key1, key2, start, count = case
+        ref1 = _searchsorted_draws(probs, key1, start, count)
+        ref2 = _searchsorted_draws(probs, key2, start, count)
+        saved = _kernels.SORTED_SEARCH_MIN_TERMS
+        try:
+            for min_terms in (1, saved, len(probs) + 1):
+                _kernels.SORTED_SEARCH_MIN_TERMS = min_terms
+                j1, j2 = pair_draws(probs, key1, key2, start, count)
+                assert j1.dtype == ref1.dtype and j2.dtype == ref2.dtype
+                assert np.array_equal(j1, ref1) and np.array_equal(j2, ref2)
+        finally:
+            _kernels.SORTED_SEARCH_MIN_TERMS = saved
+
+    def test_uniform_on_a_cdf_value_draws_the_next_term(self):
+        key = derive_key(8, 0, 0, 1)
+        u = counter_uniforms(key, 0, 40)
+        probs = np.concatenate(([u[7]], np.full(39, (1 - u[7]) / 39)))
+        j1, _ = pair_draws(probs, key, key, 0, 40)
+        assert j1[7] == 1
 
 
 class TestMakeRng:

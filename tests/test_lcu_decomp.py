@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ class TestGaussianLcu:
         dec = gaussian_lcu(10.0, 1e-2)
         coeffs = dec.coeffs.tolist()
         assert all(c > 0 for c in coeffs)
-        assert dec.l1_norm == sum(coeffs)
+        assert dec.l1_norm == functools.reduce(operator.add, coeffs)
 
     def test_reproducible(self):
         a = gaussian_lcu(7.0, 1e-3)
@@ -262,6 +264,23 @@ class TestDecompositionInvariants:
         with pytest.raises(ValueError):
             LcuDecomposition(coeffs=[0.5, 0.5], durations=[1.0],
                              phases=[1.0, 1.0], target_error=0.1)
+
+    @pytest.mark.parametrize("kappa,gamma", [(2.0, 0.1 / 18), (4.0, 1e-2),
+                                             (5.0, 0.1 / 18), (10.0, 1e-2)])
+    def test_inverse_l1_is_the_left_to_right_sum(self, kappa, gamma):
+        # l1, and every Hoeffding count read off it, is the sum taken left
+        # to right on every Python (sum() of floats is compensated from
+        # 3.12 on, np.sum is pairwise)
+        dec = inverse_lcu(kappa, gamma)
+        assert dec.l1_norm == functools.reduce(operator.add,
+                                               dec.coeffs.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=200))
+    def test_l1_is_the_left_to_right_sum(self, coeffs):
+        dec = LcuDecomposition(coeffs=coeffs, durations=np.zeros(len(coeffs)),
+                               phases=np.ones(len(coeffs)), target_error=0.0)
+        assert dec.l1_norm == functools.reduce(operator.add, coeffs)
 
     def test_arrays_read_only(self):
         dec = gaussian_lcu(4.0, 1e-2)

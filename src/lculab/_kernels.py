@@ -16,8 +16,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / (1 << 53)
 
 CHUNK = 1 << 20
-# term count from which pair_draws sorts its uniforms before the search
-SORTED_SEARCH_MIN_TERMS = 32
 
 
 def _mix_scalar(z: int) -> int:
@@ -118,16 +116,11 @@ def pair_draws(probs: np.ndarray, key1: int, key2: int,
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cum, u, side="right") clipped to the last index.
 
-    From SORTED_SEARCH_MIN_TERMS terms on, the uniforms are searched in
-    sorted order and the indices scattered back: consecutive searches then
-    walk nearby parts of a long CDF, and every index is the same, bit for
-    bit, as the unsorted search gives.  Below it the sort costs more than it
-    saves."""
-    if cum.shape[0] < SORTED_SEARCH_MIN_TERMS:
-        j = np.searchsorted(cum, u, side="right")
-    else:
-        order = np.argsort(u)
-        j = np.empty(u.shape[0], dtype=np.intp)
-        j[order] = np.searchsorted(cum, u[order], side="right")
+    The uniforms are searched in sorted order and the indices scattered
+    back: consecutive searches then walk nearby parts of a long CDF, and
+    every index is the same, bit for bit, as the unsorted search gives."""
+    order = np.argsort(u)
+    j = np.empty(u.shape[0], dtype=np.intp)
+    j[order] = np.searchsorted(cum, u[order], side="right")
     np.clip(j, 0, cum.shape[0] - 1, out=j)
     return j

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .core_algebra import (
 from .estimator import (
     EstimateReport,
     EstimatorConfig,
+    PreparedLcu,
     ProductSampler,
     cost_summary,
     observable_norm,
@@ -30,6 +32,7 @@ from .estimator import (
     expectation_observable,
 )
 from .lcu_decomp import (
+    LcuDecomposition,
     SegmentLcu,
     gaussian_lcu,
     inverse_lcu,
@@ -37,9 +40,10 @@ from .lcu_decomp import (
 )
 
 FLATTEN_CAP = 4096
-# prepared forms kept at once; each holds its decomposition's arrays and the
-# state batch of the last input state it saw (M * dim complex entries)
+# prepared forms kept at once by each of the two caches below
 PREPARED_CACHE_SIZE = 8
+# state-batch bytes the cached forms other than the one in use keep
+CACHED_BATCH_BYTES = 32 << 20
 
 # decomposition generation is deterministic in its parameters, so repeated
 # runs (seed sweeps) reuse the same object
@@ -49,20 +53,44 @@ _cached_inverse_lcu = functools.lru_cache(maxsize=16)(inverse_lcu)
 _cached_gaussian_lcu = functools.lru_cache(maxsize=16)(gaussian_lcu)
 
 
+# neither the observable nor the seed changes a prepared form, so seed
+# sweeps and observable sweeps build its probabilities and its state batch
+# once
 @functools.lru_cache(maxsize=PREPARED_CACHE_SIZE)
-def _cached_prepared(kind: str, params: tuple, h: PauliHamiltonian):
-    """The sampleable form of one decomposition on one Hamiltonian, which
-    neither the observable nor the seed changes; the key compares H by
-    value.  "inverse" and "gaussian" take the parameters of their cached
-    builder and return a PreparedLcu whose context is H as a dense matrix;
-    "taylor" takes (t, r, K) and returns the flattened product of the
-    Taylor segment, or its ProductSampler when it does not flatten."""
-    if kind == "taylor":
-        sampler = ProductSampler(SegmentLcu(h, *params))
-        flat = sampler.flatten(FLATTEN_CAP)
-        return sampler if flat is None else flat
-    build = _cached_inverse_lcu if kind == "inverse" else _cached_gaussian_lcu
-    return prepare(build(*params), ham_to_dense(h))
+def _cached_prepared(dec: LcuDecomposition, h: PauliHamiltonian) -> PreparedLcu:
+    """dec prepared on H as a dense matrix.  dec comes from a decomposition
+    cache above, so a hit finds the same object; H is compared by value."""
+    return prepare(dec, ham_to_dense(h))
+
+
+@functools.lru_cache(maxsize=PREPARED_CACHE_SIZE)
+def _cached_product(h: PauliHamiltonian, t: float, r: int, bigk: int):
+    """The flattened r-fold product of the Taylor segment of e^{-iHt}, or
+    its ProductSampler when it does not flatten."""
+    sampler = ProductSampler(SegmentLcu(h, t, r, bigk))
+    flat = sampler.flatten(FLATTEN_CAP)
+    return sampler if flat is None else flat
+
+
+_used: list = []   # weak references to cached forms, latest use first
+
+
+def _use(form):
+    """form, after the cached forms used before it have dropped their state
+    batches beyond CACHED_BATCH_BYTES, the longest unused first.  A sweep
+    over problems then holds the batch of the op in hand and at most
+    CACHED_BATCH_BYTES more."""
+    if not isinstance(form, PreparedLcu):
+        return form
+    others = [f for f in (ref() for ref in _used)
+              if f is not None and f is not form]
+    _used[:] = [weakref.ref(f) for f in [form] + others]
+    kept = 0
+    for f in others:
+        if kept + f.batch_nbytes > CACHED_BATCH_BYTES:
+            f.drop_batch()
+        kept += f.batch_nbytes
+    return form
 
 
 @dataclass(frozen=True)
@@ -146,7 +174,7 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
     gamma = epsilon / (6 * norm_o)
     x = t_tilde / r
     bigk = taylor_truncation_order(x, r, gamma)
-    lcu = _cached_prepared("taylor", (t, r, bigk), h)
+    lcu = _use(_cached_product(h, t, r, bigk))
     c1 = lcu.l1_norm
     t_reps = (repetitions_override if repetitions_override is not None
               else required_repetitions(norm_o, c1, epsilon, delta))
@@ -182,8 +210,9 @@ def gsp_estimate(p: GspProblem, o, epsilon: float, delta: float, seed: int,
     t = (1.0 / (2 * gap ** 2)) * math.log(
         8 * norm_o ** 2 * (1 - eta ** 2) / (epsilon ** 2 * eta ** 2)) + 1
     gamma = epsilon * eta ** 2 / (30 * norm_o)
-    lcu = _cached_prepared("gaussian", (t, gamma), scaled)
-    dec, context = lcu.decomp, lcu.context
+    dec = _cached_gaussian_lcu(t, gamma)
+    lcu = _use(_cached_prepared(dec, scaled))
+    context = lcu.context
     cfg = EstimatorConfig(epsilon=epsilon, delta=delta, mode=mode,
                           repetitions_override=repetitions_override,
                           master_seed=seed, ell_star=eta ** 2)
@@ -209,8 +238,8 @@ def qls_estimate(p: QlsProblem, o, epsilon: float, delta: float, seed: int,
     Fourier quadrature of 1/x; the normalization lower bound is 1."""
     norm_o = observable_norm(o)
     gamma = epsilon / (18 * norm_o)
-    lcu = _cached_prepared("inverse", (p.kappa, gamma), p.hamiltonian)
-    dec = lcu.decomp
+    dec = _cached_inverse_lcu(p.kappa, gamma)
+    lcu = _use(_cached_prepared(dec, p.hamiltonian))
     cfg = EstimatorConfig(epsilon=epsilon, delta=delta, mode=mode,
                           repetitions_override=repetitions_override,
                           master_seed=seed, ell_star=1.0)

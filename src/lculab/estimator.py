@@ -135,6 +135,14 @@ class PreparedLcu:
     def n_terms(self) -> int:
         return len(self.probs)
 
+    @property
+    def batch_nbytes(self) -> int:
+        """Bytes of the state batch kept for the last input state."""
+        return 0 if self._batch_cache is None else self._batch_cache[1].nbytes
+
+    def drop_batch(self) -> None:
+        self._batch_cache = None
+
     def _batch(self, psi0: StateVector, rows) -> np.ndarray:
         """rows(psi0), read-only, cached for the last input state.  The
         cache holds a copy of psi0's amplitudes and matches by value: an
@@ -146,6 +154,7 @@ class PreparedLcu:
             return self._batch_cache[1]
         if self.n_terms * psi0.dim > ENUMERATED_STATE_CAP:
             raise MemoryError("enumerated state batch too large")
+        self._batch_cache = None   # free the old rows before building new ones
         u = rows(psi0)
         u.setflags(write=False)
         self._batch_cache = (key, u)
@@ -406,8 +415,7 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                                (costs[j1] + costs[j2]).tolist()))
 
     u = prepared.states(psi0)
-    # O = I (the normalization phase) leaves the rows as they are
-    ou = u if np.array_equal(o.entries, np.eye(o.dim)) else u @ o.entries.T
+    ou = u @ o.entries.T
     return _kernels.pair_accumulate(u, ou, prepared.probs, key1, key2, t_reps,
                                     shot=shot, sink=sink)
 

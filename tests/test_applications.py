@@ -180,13 +180,18 @@ class TestQls:
             assert key in rep.info
 
 
-def _uncached(estimate, *args, **kwargs):
-    """estimate(*args, **kwargs) after emptying every cache of
-    applications: a recomputation with no cached form or state batch."""
+def _clear_caches():
     for cache in (applications._cached_prepared,
+                  applications._cached_product,
                   applications._cached_inverse_lcu,
                   applications._cached_gaussian_lcu):
         cache.cache_clear()
+
+
+def _uncached(estimate, *args, **kwargs):
+    """estimate(*args, **kwargs) after emptying every cache of
+    applications: a recomputation with no cached form or state batch."""
+    _clear_caches()
     return estimate(*args, **kwargs)
 
 
@@ -257,13 +262,64 @@ class TestPreparedCache:
                                 StateVector(np.array([0.6, 0.0, 0.0, 0.8])))
         assert warm == _uncached(fn, *args, **kwargs)
 
-    def test_equal_problem_is_a_hit_and_cache_clear_empties(self):
-        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", basis_state(2, 0))
+    @pytest.mark.parametrize("problem,cache", [
+        (_qls("0.75*ZZ+0.25*XX", basis_state(2, 0)), "_cached_prepared"),
+        (_gsp("0.5*II-0.5*ZZ+0.1*XI"), "_cached_prepared"),
+        (_hamsim("0.3*X+0.4*Z"), "_cached_product"),
+    ], ids=["qls", "gsp", "hamsim"])
+    def test_equal_problem_is_a_hit_and_cache_clear_empties(self, problem,
+                                                             cache):
+        fn, args, kwargs = problem
         _uncached(fn, *args, **kwargs)
-        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", basis_state(2, 0), seed=4)
-        fn(*args, **kwargs)
-        info = applications._cached_prepared.cache_info()
+        fn(*args, **dict(kwargs, seed=4))
+        cache = getattr(applications, cache)
+        info = cache.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert info.maxsize == PREPARED_CACHE_SIZE
-        applications._cached_prepared.cache_clear()
-        assert applications._cached_prepared.cache_info().currsize == 0
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
+
+
+def _sweep_forms(kappas):
+    """The cached forms after a qls sweep over kappas, the last one first."""
+    _clear_caches()
+    for kappa in kappas:
+        problem = QlsProblem(parse_pauli_text("0.75*ZZ+0.25*XX"), kappa,
+                             basis_state(2, 0))
+        qls_estimate(problem, ZI, 0.3, 0.2, seed=1, repetitions_override=200)
+    return [ref() for ref in applications._used]
+
+
+class TestCachedBatchBytes:
+    """The cached forms other than the one in use keep at most
+    CACHED_BATCH_BYTES of state batches, so a sweep over problems holds
+    about one batch more than a run with no cache."""
+
+    def test_sweep_drops_the_oldest_batches_beyond_the_budget(self,
+                                                              monkeypatch):
+        budget = 3 << 20   # the batches here are 0.7 to 2.9 MB
+        monkeypatch.setattr(applications, "CACHED_BATCH_BYTES", budget)
+        forms = _sweep_forms([2.0, 2.5, 3.0, 3.5, 4.0])
+        assert len(forms) == 5
+        in_use, others = forms[0], forms[1:]
+        assert in_use.n_terms == max(f.n_terms for f in forms)
+        assert in_use.batch_nbytes == in_use.n_terms * 4 * 16
+        held = [f.batch_nbytes for f in others]
+        assert sum(held) <= budget
+        # the last-but-one form keeps its batch, an older one drops it
+        assert held[0] > 0 and 0 in held
+
+    def test_large_budget_keeps_every_batch(self):
+        forms = _sweep_forms([2.0, 2.5, 3.0])
+        assert all(f.batch_nbytes == f.n_terms * 4 * 16 for f in forms)
+
+    def test_form_in_use_keeps_its_batch_across_ops(self, monkeypatch):
+        # a seed sweep reuses the rows even when they exceed the budget
+        monkeypatch.setattr(applications, "CACHED_BATCH_BYTES", 0)
+        fn, args, kwargs = _qls("0.75*ZZ+0.25*XX", basis_state(2, 0))
+        _uncached(fn, *args, **kwargs)
+        form = applications._used[0]()
+        rows = form.states(basis_state(2, 0))
+        fn(*args, **dict(kwargs, seed=4))
+        assert applications._used[0]() is form
+        assert form.states(basis_state(2, 0)) is rows

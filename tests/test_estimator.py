@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lculab._kernels import derive_key, make_rng, pair_accumulate
+from lculab._kernels import make_rng
 from lculab.core_algebra import (
     DenseOperator,
     ObservableLcu,
@@ -369,25 +369,6 @@ class TestStateBatchCache:
         expected = np.stack([u @ np.array([0.6, 0.8])
                              for u in _term_matrices(_two_term_lcu(), h)])
         assert np.allclose(prepared.states(psi), expected, atol=1e-12)
-
-
-class TestIdentityObservable:
-    @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
-    def test_skipped_product_changes_no_sum(self, kind):
-        # with O = I (the normalization phase) the kernel gets the rows
-        # themselves as O u; u @ I differs from them at most in the sign of
-        # exact zeros, which no sum sees
-        prepared, psi0, _ = _enumerated_case(kind)
-        ident = DenseOperator(np.eye(psi0.dim), hermitian=True, unitary=True)
-        cfg = EstimatorConfig(epsilon=0.1, delta=0.1, master_seed=6)
-        mu, _, (mean, _) = expectation_observable(prepared, psi0, ident,
-                                                  5000, cfg)
-        u = prepared.states(psi0)
-        s, _ = pair_accumulate(u, u @ ident.entries.T, prepared.probs,
-                               derive_key(6, 0, 0, 1), derive_key(6, 0, 0, 2),
-                               5000)
-        assert mean == s / 5000
-        assert mu == prepared.l1_norm ** 2 * (s / 5000)
 
 
 def test_flattened_product_l1_is_the_left_to_right_sum():

@@ -160,20 +160,13 @@ class TestPairDraws:
     @example(case=(np.array([0.5, 1e-300, 0.5]), 3, 4, 7, 0))
     @example(case=(np.array([0.3, 1e-300, 1e-300, 0.7]), 5, 6, 11, 1))
     def test_sorted_search_equals_searchsorted(self, case):
-        # both search paths, whatever the term count, give the draws of the
-        # unsorted search bit for bit
+        # the sorted search gives the draws of the unsorted one bit for bit
         probs, key1, key2, start, count = case
         ref1 = _searchsorted_draws(probs, key1, start, count)
         ref2 = _searchsorted_draws(probs, key2, start, count)
-        saved = _kernels.SORTED_SEARCH_MIN_TERMS
-        try:
-            for min_terms in (1, saved, len(probs) + 1):
-                _kernels.SORTED_SEARCH_MIN_TERMS = min_terms
-                j1, j2 = pair_draws(probs, key1, key2, start, count)
-                assert j1.dtype == ref1.dtype and j2.dtype == ref2.dtype
-                assert np.array_equal(j1, ref1) and np.array_equal(j2, ref2)
-        finally:
-            _kernels.SORTED_SEARCH_MIN_TERMS = saved
+        j1, j2 = pair_draws(probs, key1, key2, start, count)
+        assert j1.dtype == ref1.dtype and j2.dtype == ref2.dtype
+        assert np.array_equal(j1, ref1) and np.array_equal(j2, ref2)
 
     def test_uniform_on_a_cdf_value_draws_the_next_term(self):
         key = derive_key(8, 0, 0, 1)

@@ -23,7 +23,7 @@ from .harness import (
     run_sweep,
     run_with_records,
     sweep_csv,
-    trace_csv,
+    trace_csv_slices,
 )
 
 # help text and choices, one entry per config key; which subcommand takes
@@ -34,7 +34,8 @@ _FLAG_DOCS = {
     "delta": dict(help="failure probability"),
     "mode": dict(choices=["shot", "expectation"], help="sampling mode"),
     "out": dict(help="write the JSON report here"),
-    "trace": dict(help="emit a per-sample CSV next to the report"),
+    "trace": dict(help="emit a per-sample CSV next to the report "
+                       "(hamsim, gsp and qls)"),
     "config": dict(help="flat key=value config file"),
     "hamiltonian": dict(help="Pauli text, e.g. 0.3*X+0.4*Z "
                              "(decomp-check: optional dense check)"),
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         out = config.params.get("out")
         if config.params.get("trace") and out:
             with open(out + ".trace.csv", "w") as fh:
-                fh.write(trace_csv(records))
+                fh.writelines(trace_csv_slices(records))
         return EXIT_OK
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

@@ -79,6 +79,35 @@ class SampleRecord:
     cost: float
 
 
+class SampleTrace:
+    """Per-sample records of one estimate, held as column chunks.
+
+    Each chunk is (start, ids, values, costs): samples start, start+1, ...
+    with their term ids as an (n, k) int array (k = 2, or 3 when the
+    observable is sampled too), interference values or shot outcomes, and
+    costs.  Chunks follow each other without gaps from sample 0.  Iterating
+    yields one SampleRecord per sample."""
+
+    def __init__(self):
+        self.chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rows = 0
+
+    def add(self, ids: np.ndarray, values: np.ndarray,
+            costs: np.ndarray) -> None:
+        """Append the next len(values) samples."""
+        self.chunks.append((self._rows, ids, values, costs))
+        self._rows += len(values)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self):
+        for start, ids, values, costs in self.chunks:
+            yield from map(SampleRecord, range(start, start + len(values)),
+                           map(tuple, ids.tolist()), values.tolist(),
+                           costs.tolist())
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     mu: float
@@ -367,8 +396,7 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
 
     scale is |h|_1 when the observable itself is sampled term-by-term.
     Returns (mu, records, stats) with stats = (mean, sample_std_of_values)
-    and records the per-sample SampleRecord list (None unless
-    collect_records).
+    and records the per-sample SampleTrace (None unless collect_records).
 
     An enumerated decomposition (PreparedLcu and its subclasses) with a
     dense observable runs on the chunked counter-hash kernel in either mode.
@@ -381,7 +409,7 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
         raise ValueError("T must be >= 1")
     prepared = prepare(lcu, context)
     stream = (config.master_seed, experiment, phase)
-    records = [] if collect_records else None
+    records = SampleTrace() if collect_records else None
     scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     if isinstance(prepared, PreparedLcu) and isinstance(o, DenseOperator):
         s, s2 = _enumerated_sums(prepared, psi0, o, t_reps, config.mode,
@@ -397,7 +425,7 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
 
 def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                      o: DenseOperator, t_reps: int, mode: str, stream,
-                     records: list | None) -> tuple[float, float]:
+                     records: SampleTrace | None) -> tuple[float, float]:
     seed, exp_id, phase = stream
     key1 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V1)
     key2 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V2)
@@ -410,9 +438,10 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
         costs = prepared.costs
 
         def sink(start, j1, j2, values):
-            records.extend(map(SampleRecord, range(start, start + len(values)),
-                               zip(j1.tolist(), j2.tolist()), values.tolist(),
-                               (costs[j1] + costs[j2]).tolist()))
+            # an expectation value is the real part of a complex array:
+            # copy it, so the trace holds 8 bytes a value, not 16
+            records.add(np.stack((j1, j2), axis=1),
+                        np.ascontiguousarray(values), costs[j1] + costs[j2])
 
     u = prepared.states(psi0)
     ou = u @ o.entries.T
@@ -421,20 +450,27 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
 
 
 def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
-                     stream, context, records: list | None) -> tuple[float, float]:
+                     stream, context,
+                     records: SampleTrace | None) -> tuple[float, float]:
     s = 0.0
     cs = 0.0
     s2 = 0.0
+    ids, values, costs = [], [], []
     for i in range(t_reps):
         rec = run_circuit_sample(prepared, psi0, o, mode, stream, index=i,
                                  context=context)
         if records is not None:
-            records.append(rec)
+            ids.append(rec.term_ids)
+            values.append(rec.value)
+            costs.append(rec.cost)
         y = rec.value - cs
         tt = s + y
         cs = (tt - s) - y
         s = tt
         s2 += rec.value * rec.value
+    if records is not None:
+        records.add(np.array(ids, dtype=np.intp), np.array(values),
+                    np.array(costs))
     return s, s2
 
 

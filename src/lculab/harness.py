@@ -13,6 +13,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .core_algebra import (
     parse_pauli_text,
     plus_state,
 )
-from .estimator import NormUnderflowError
+from .estimator import NormUnderflowError, SampleTrace
 from .lcu_decomp import (
     gaussian_lcu,
     inverse_lcu,
@@ -205,6 +206,9 @@ def parse_config(subcommand: str, flag_params: dict,
                           f"key(s): {', '.join(missing)}")
     if merged.get("mode") not in (None, "shot", "expectation"):
         raise ConfigError("mode must be 'shot' or 'expectation'")
+    if merged.get("trace") and subcommand not in _DISPATCH:
+        raise ConfigError(f"{subcommand} draws no per-sample records; trace "
+                          "applies to hamsim, gsp and qls")
     return ExperimentConfig(subcommand=subcommand, params=merged)
 
 
@@ -548,15 +552,32 @@ def run(config: ExperimentConfig) -> RunReport:
     return run_with_records(config)[0]
 
 
-def trace_csv(records) -> str:
+# rows of one piece of a streamed trace CSV
+TRACE_SLICE_ROWS = 4096
+
+
+def trace_csv(records: SampleTrace | None) -> str:
     """Per-sample CSV: index, term_ids, value, cost."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "term_ids", "value", "cost"])
-    for rec in records or ():
-        writer.writerow([rec.index, "|".join(str(t) for t in rec.term_ids),
-                         _float17(rec.value), _float17(rec.cost)])
-    return buf.getvalue()
+    return "".join(trace_csv_slices(records))
+
+
+def trace_csv_slices(records: SampleTrace | None):
+    """The text of trace_csv(records) in pieces, header first, then at most
+    TRACE_SLICE_ROWS rows a piece.  Each piece is one %-format over the
+    chunk's columns; ids join with '|', floats print at 17 significant
+    digits, and lines end in CRLF, as csv.writer writes them."""
+    chunks = records.chunks if records is not None else ()
+    for _, _, values, costs in chunks:
+        if not (np.isfinite(values).all() and np.isfinite(costs).all()):
+            raise ValueError("non-finite float in report")
+    yield "index,term_ids,value,cost\r\n"
+    for start, ids, values, costs in chunks:
+        row = "%d," + "|".join(["%d"] * ids.shape[1]) + ",%.17g,%.17g\r\n"
+        for lo in range(0, len(values), TRACE_SLICE_ROWS):
+            hi = min(lo + TRACE_SLICE_ROWS, len(values))
+            cols = zip(range(start + lo, start + hi), *ids[lo:hi].T.tolist(),
+                       values[lo:hi].tolist(), costs[lo:hi].tolist())
+            yield (row * (hi - lo)) % tuple(chain.from_iterable(cols))
 
 
 def _parse_axis_value(base: str, axis: str, text: str):
@@ -623,6 +644,7 @@ def sweep_csv(rows: list[dict]) -> str:
 __all__ = [
     "ConfigError", "ExperimentConfig", "RunReport", "parse_config",
     "read_config_file", "run", "run_sweep", "sweep_csv", "trace_csv",
+    "trace_csv_slices",
     "dumps_17g", "validate_report",
     "EXIT_OK", "EXIT_CONFIG", "EXIT_PRECONDITION", "EXIT_CONVERGENCE",
 ]

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lculab import __version__, cli
+from lculab.applications import hamsim_estimate
+from lculab.core_algebra import (
+    DenseOperator,
+    ObservableLcu,
+    parse_pauli_text,
+    plus_state,
+)
+from lculab.estimator import SampleTrace
 from lculab.harness import (
     ConfigError,
     dumps_17g,
@@ -17,8 +26,10 @@ from lculab.harness import (
     run_sweep,
     sweep_csv,
     trace_csv,
+    trace_csv_slices,
     validate_report,
 )
+from trace_oracle import reference_trace_csv
 
 SCHEMA = json.load(open("docs/report_schema.json"))
 
@@ -313,6 +324,109 @@ class TestTrace:
         assert len(lines) == 51
 
 
+# one traced op per estimator path; gsp holds more rows than one CSV slice
+TRACED_OPS = {
+    "gsp": ("gsp", {**GSP_FLAGS, "repetitions": "5000"}),
+    "gsp-shot": ("gsp", {**GSP_FLAGS, "mode": "shot", "repetitions": "300"}),
+    "gsp-perturbed": ("gsp", {**GSP_FLAGS, "unitary_error": "0.05",
+                              "repetitions": "300"}),
+    "qls": ("qls", {"hamiltonian": "0.75*ZZ+0.25*XX", "kappa": "2",
+                    "observable": "1.0*ZI", "repetitions": "2000"}),
+    "qls-shot": ("qls", {"hamiltonian": "0.75*ZZ+0.25*XX", "kappa": "2",
+                         "observable": "1.0*ZI", "mode": "shot",
+                         "repetitions": "300"}),
+    "hamsim": ("hamsim", HAMSIM_FLAGS),
+    # three qubits: the Taylor product is sampled unflattened, ids -1|-1
+    "hamsim-unflattened": ("hamsim", {
+        "hamiltonian": "0.3*XII+0.4*ZZI+0.2*IXZ+0.1*YYX", "t": "3",
+        "observable": "1.0*ZII", "repetitions": "12"}),
+}
+
+
+class TestTraceCsv:
+    """trace_csv against the csv.writer reference, byte for byte."""
+
+    @staticmethod
+    def _traced(sub, flags):
+        from lculab.harness import run_with_records
+        return run_with_records(parse_config(sub, {**flags, "trace": True}))
+
+    @pytest.mark.parametrize("name", sorted(TRACED_OPS))
+    def test_matches_reference(self, name):
+        report, records = self._traced(*TRACED_OPS[name])
+        text = trace_csv(records)
+        assert len(records) == report.results["trace_rows"]
+        assert text == reference_trace_csv(records)
+        ids = text.splitlines()[1].split(",")[1]
+        unflat = report.results["info"].get("flattened") is False
+        assert (ids == "-1|-1") == unflat
+
+    def test_chunk_and_slice_boundaries(self, monkeypatch):
+        from lculab import _kernels, harness
+        sub, flags = TRACED_OPS["gsp"]
+        _, whole = self._traced(sub, flags)
+        monkeypatch.setattr(_kernels, "CHUNK", 1700)
+        monkeypatch.setattr(harness, "TRACE_SLICE_ROWS", 300)
+        _, chunked = self._traced(sub, flags)
+        assert len(chunked.chunks) == 3
+        pieces = list(trace_csv_slices(chunked))
+        assert max(p.count("\n") for p in pieces) == 300
+        assert "".join(pieces) == trace_csv(whole) == reference_trace_csv(whole)
+
+    def test_observable_lcu_rows_carry_three_ids(self):
+        o = ObservableLcu(((0.5, DenseOperator(np.diag([1.0, -1.0]),
+                                               unitary=True)),
+                           (0.5, DenseOperator(np.array([[0.0, 1.0],
+                                                         [1.0, 0.0]]),
+                                               unitary=True))))
+        rep = hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
+                              plus_state(1), 0.2, 0.1, seed=5,
+                              repetitions_override=300, collect_records=True)
+        records = rep.info["records"]
+        text = trace_csv(records)
+        assert text == reference_trace_csv(records)
+        assert all(line.split(",")[1].count("|") == 2
+                   for line in text.splitlines()[1:])
+
+    @pytest.mark.parametrize("column", ["value", "cost"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, column, bad):
+        values, costs = np.array([0.5, -0.25]), np.array([1.0, 2.0])
+        (values if column == "value" else costs)[1] = bad
+        trace = SampleTrace()
+        trace.add(np.array([[0, 1], [1, 0]]), values, costs)
+        for write in (trace_csv, reference_trace_csv):
+            with pytest.raises(ValueError, match="non-finite"):
+                write(trace)
+
+    def test_cli_trace_memory_stays_flat(self, tmp_path):
+        # the README gsp example at its own Hoeffding T (89,784 rows): the
+        # trace's columns add 32 bytes a row, and the CSV streams to the
+        # file a slice at a time
+        argv = ["gsp", "--hamiltonian", "0.5*II-0.5*ZZ+0.1*XI",
+                "--observable", "1.0*ZI", "--gap", "1.0", "--eta", "0.7",
+                "--e0", "-0.0099", "--eg", "0.01", "--state", "basis:0"]
+        plain = argv + ["--out", str(tmp_path / "plain.json")]
+        traced = argv + ["--trace", "--out", str(tmp_path / "r.json")]
+        assert cli.main(plain) == 0   # warms the decomposition caches
+        peaks = []
+        for args in (plain, traced):
+            tracemalloc.start()
+            try:
+                assert cli.main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 5 * 2 ** 20
+        from lculab.harness import run_with_records
+        flags = {k[2:]: v for k, v in zip(argv[1::2], argv[2::2])}
+        _, records = run_with_records(parse_config("gsp", {**flags,
+                                                           "trace": True}))
+        assert len(records) == 89_784
+        written = (tmp_path / "r.json.trace.csv").read_bytes().decode()
+        assert written == trace_csv(records)
+
+
 # canonical reports as lculab 0.2.0 wrote them, one per estimator path and
 # decomposition kind: a refactor of the decompositions or the estimator must
 # keep every draw and every reported value bit-identical (the version field
@@ -521,6 +635,22 @@ class TestCli:
         trace = (tmp_path / "r.json.trace.csv").read_text()
         assert trace.splitlines()[0] == "index,term_ids,value,cost"
         assert len(trace.strip().splitlines()) == 21
+
+    @pytest.mark.parametrize("argv", [
+        ["walks-search", "--graph", "cycle:6", "--marked", "0",
+         "--trials", "20"],
+        ["decomp-check", "--kind", "gaussian", "--t", "2.0"],
+        ["analog-gsp", "--hamiltonian", "0.5*II-0.5*ZZ+0.1*XI",
+         "--gap", "1.0", "--eta", "0.7", "--e0", "-0.0099"],
+        ["analog-qls", "--hamiltonian", "0.6*ZZ+0.4*XX", "--kappa", "5"],
+        ["sweep", "--base", "hamsim", "--axis", "t", "--values", "1,2",
+         "--hamiltonian", "0.5*Z", "--observable", "1.0*Z"],
+    ], ids=lambda argv: argv[0])
+    def test_trace_without_samples_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--trace", "--out", str(out)]) == 2
+        assert "no per-sample records" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_csv_output(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -24,12 +24,12 @@ from .estimator import (
     EstimatorConfig,
     PreparedLcu,
     ProductSampler,
-    cost_summary,
+    SampleTrace,
+    expectation_observable,   # re-exported: perfbench traces this binding too
     observable_norm,
     prepare,
     required_repetitions,
     single_ancilla_lcu,
-    expectation_observable,
 )
 from .lcu_decomp import (
     LcuDecomposition,
@@ -154,10 +154,11 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
                     epsilon: float, delta: float, seed: int,
                     mode: str = "expectation",
                     repetitions_override: int | None = None,
-                    collect_records: bool = False) -> EstimateReport:
+                    trace: SampleTrace | None = None) -> EstimateReport:
     """Estimate Tr[O e^{-iHt} rho e^{iHt}] by sampling products of Pauli
     rotations from the per-segment Taylor mixture; the target is unitary so
-    no normalization phase is needed."""
+    no normalization phase is needed.  At t = 0 the value is computed
+    exactly and `trace` receives no samples."""
     norm_o = observable_norm(o)
     if t == 0:
         if isinstance(o, DenseOperator):
@@ -180,25 +181,18 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
               else required_repetitions(norm_o, c1, epsilon, delta))
     cfg = EstimatorConfig(epsilon=epsilon, delta=delta, mode=mode,
                           repetitions_override=t_reps, master_seed=seed)
-    mu, recs, (mean, std) = expectation_observable(
-        lcu, psi0, o, t_reps, cfg, context=h, collect_records=collect_records)
+    report = single_ancilla_lcu(lcu, psi0, o, cfg, context=h, trace=trace)
     info = {"r": r, "K": bigk, "c1": c1, "gamma": gamma,
             "tau_max_bound": (bigk + 1) * r,
             "flattened": not isinstance(lcu, ProductSampler)}
-    if recs is not None:
-        info["records"] = recs
-    return EstimateReport(
-        mu=mu, ell_tilde=1.0, ratio=mu, t_used=t_reps,
-        tau_max=lcu.tau_max, avg_cost=lcu.avg_cost,
-        empirical_std=c1 ** 2 * std / math.sqrt(t_reps), seed=seed,
-        info=info)
+    return dataclasses.replace(report, info={**report.info, **info})
 
 
 def gsp_estimate(p: GspProblem, o, epsilon: float, delta: float, seed: int,
                  mode: str = "expectation",
                  repetitions_override: int | None = None,
                  unitary_error: float | None = None,
-                 collect_records: bool = False) -> EstimateReport:
+                 trace: SampleTrace | None = None) -> EstimateReport:
     """Ground-state expectation <v0|O|v0> via the Gaussian time-evolution
     mixture: shift by the certified energy window, rescale by the coefficient
     l1 norm, filter with e^{-t H^2}, and take the two-phase ratio."""
@@ -222,7 +216,7 @@ def gsp_estimate(p: GspProblem, o, epsilon: float, delta: float, seed: int,
         from .estimator import PerturbedLcu
         lcu = PerturbedLcu(dec, context, unitary_error, make_rng(seed, 99))
     report = single_ancilla_lcu(lcu, p.initial_state, o, cfg, context=context,
-                                collect_records=collect_records)
+                                trace=trace)
     info = {"t": t, "gamma": gamma, "M": dec.info["M"],
             "delta_t": dec.info["delta_t"], "tau_max_formula":
                 dec.info["M"] * dec.info["delta_t"] * math.sqrt(2 * t),
@@ -233,7 +227,7 @@ def gsp_estimate(p: GspProblem, o, epsilon: float, delta: float, seed: int,
 def qls_estimate(p: QlsProblem, o, epsilon: float, delta: float, seed: int,
                  mode: str = "expectation",
                  repetitions_override: int | None = None,
-                 collect_records: bool = False) -> EstimateReport:
+                 trace: SampleTrace | None = None) -> EstimateReport:
     """Solution-state expectation <x|O|x> for H|x> ~ |b> via the discretized
     Fourier quadrature of 1/x; the normalization lower bound is 1."""
     norm_o = observable_norm(o)
@@ -244,7 +238,7 @@ def qls_estimate(p: QlsProblem, o, epsilon: float, delta: float, seed: int,
                           repetitions_override=repetitions_override,
                           master_seed=seed, ell_star=1.0)
     report = single_ancilla_lcu(lcu, p.b_state, o, cfg, context=lcu.context,
-                                collect_records=collect_records)
+                                trace=trace)
     info = {"gamma": gamma, "J": dec.info["J"], "K": dec.info["K"],
             "tau_max_formula": dec.info["tau_max"], "c1": dec.l1_norm,
             "kappa": p.kappa}
@@ -253,5 +247,5 @@ def qls_estimate(p: QlsProblem, o, epsilon: float, delta: float, seed: int,
 
 __all__ = [
     "GspProblem", "QlsProblem", "hamsim_estimate", "gsp_estimate",
-    "qls_estimate", "cost_summary",
+    "qls_estimate",
 ]

@@ -391,17 +391,17 @@ def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
 def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
                            config: EstimatorConfig, context=None,
                            experiment: int = 0, phase: int = 0,
-                           collect_records: bool = False):
+                           trace: SampleTrace | None = None):
     """mu = (|c|_1^2 * scale / T) * sum of per-sample values.
 
     scale is |h|_1 when the observable itself is sampled term-by-term.
-    Returns (mu, records, stats) with stats = (mean, sample_std_of_values)
-    and records the per-sample SampleTrace (None unless collect_records).
+    Returns (mu, (mean, sample_std_of_values)); when `trace` is given, every
+    sample is appended to it.
 
     An enumerated decomposition (PreparedLcu and its subclasses) with a
     dense observable runs on the chunked counter-hash kernel in either mode.
-    Records are read off the same chunks, so a traced run reports the same
-    values as an untraced one.  Implicit products (ProductSampler) and
+    Trace rows are read off the same chunks, so a traced run reports the
+    same values as an untraced one.  Implicit products (ProductSampler) and
     sampled observables (ObservableLcu) run `run_circuit_sample` once per
     sample.
     """
@@ -409,23 +409,22 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
         raise ValueError("T must be >= 1")
     prepared = prepare(lcu, context)
     stream = (config.master_seed, experiment, phase)
-    records = SampleTrace() if collect_records else None
     scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     if isinstance(prepared, PreparedLcu) and isinstance(o, DenseOperator):
         s, s2 = _enumerated_sums(prepared, psi0, o, t_reps, config.mode,
-                                 stream, records)
+                                 stream, trace)
     else:
         s, s2 = _per_sample_sums(prepared, psi0, o, t_reps, config.mode,
-                                 stream, context, records)
+                                 stream, trace)
     mean = s / t_reps
     var = max(s2 / t_reps - mean * mean, 0.0)
     mu = prepared.l1_norm ** 2 * scale * mean
-    return mu, records, (mean, math.sqrt(var))
+    return mu, (mean, math.sqrt(var))
 
 
 def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                      o: DenseOperator, t_reps: int, mode: str, stream,
-                     records: SampleTrace | None) -> tuple[float, float]:
+                     trace: SampleTrace | None) -> tuple[float, float]:
     seed, exp_id, phase = stream
     key1 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V1)
     key2 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V2)
@@ -434,14 +433,14 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
         shot = (_kernels.derive_key(seed, exp_id, phase, _ROLE_SHOT),
                 _shot_scale(o))
     sink = None
-    if records is not None:
+    if trace is not None:
         costs = prepared.costs
 
         def sink(start, j1, j2, values):
             # an expectation value is the real part of a complex array:
             # copy it, so the trace holds 8 bytes a value, not 16
-            records.add(np.stack((j1, j2), axis=1),
-                        np.ascontiguousarray(values), costs[j1] + costs[j2])
+            trace.add(np.stack((j1, j2), axis=1),
+                      np.ascontiguousarray(values), costs[j1] + costs[j2])
 
     u = prepared.states(psi0)
     ou = u @ o.entries.T
@@ -450,16 +449,14 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
 
 
 def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
-                     stream, context,
-                     records: SampleTrace | None) -> tuple[float, float]:
+                     stream, trace: SampleTrace | None) -> tuple[float, float]:
     s = 0.0
     cs = 0.0
     s2 = 0.0
     ids, values, costs = [], [], []
     for i in range(t_reps):
-        rec = run_circuit_sample(prepared, psi0, o, mode, stream, index=i,
-                                 context=context)
-        if records is not None:
+        rec = run_circuit_sample(prepared, psi0, o, mode, stream, index=i)
+        if trace is not None:
             ids.append(rec.term_ids)
             values.append(rec.value)
             costs.append(rec.cost)
@@ -468,19 +465,20 @@ def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
         cs = (tt - s) - y
         s = tt
         s2 += rec.value * rec.value
-    if records is not None:
-        records.add(np.array(ids, dtype=np.intp), np.array(values),
-                    np.array(costs))
+    if trace is not None:
+        trace.add(np.array(ids, dtype=np.intp), np.array(values),
+                  np.array(costs))
     return s, s2
 
 
 def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
-                       context=None, experiment: int = 0,
-                       collect_records: bool = False) -> EstimateReport:
+                       context=None,
+                       trace: SampleTrace | None = None) -> EstimateReport:
     """Two-phase estimate of Tr[O rho] with rho the normalized f(H)-evolved
     state: phase one measures the numerator, phase two (O = I) the
     normalization; returns their ratio with the Hoeffding repetition counts
-    rescaled for the ratio's error budget."""
+    rescaled for the ratio's error budget.  A unit-normalized target skips
+    phase two.  `trace` receives the samples of phase one."""
     prepared = prepare(lcu, context)
     norm_o = observable_norm(o)
     scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
@@ -493,41 +491,28 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
         t_num = required_repetitions(norm_o, c1, eps * ell_star / 3, delta)
         t_den = required_repetitions(1.0, c1, eps * ell_star / (3 * norm_o), delta)
 
-    mu, num_records, (_, std) = expectation_observable(
-        prepared, psi0, o, t_num, config, context=context,
-        experiment=experiment, phase=0, collect_records=collect_records)
+    mu, (_, std) = expectation_observable(
+        prepared, psi0, o, t_num, config, context=context, phase=0,
+        trace=trace)
 
     if prepared.unit_normalized:
         ell_tilde = 1.0
         t_used = t_num
     else:
-        ell_tilde, _, _ = expectation_observable(
+        ell_tilde, _ = expectation_observable(
             prepared, psi0, _identity_like(psi0.dim), t_den,
-            replace(config, mode="expectation"), context=context,
-            experiment=experiment, phase=1, collect_records=False)
+            replace(config, mode="expectation"), context=context, phase=1)
         t_used = t_num + t_den
         floor = eps * ell_star / (3 * norm_o)
         if ell_tilde <= floor:
             raise NormUnderflowError(ell_tilde, floor)
 
     ratio = mu / ell_tilde
-    info = {"records": num_records} if num_records is not None else {}
     return EstimateReport(
         mu=mu, ell_tilde=ell_tilde, ratio=ratio, t_used=t_used,
         tau_max=prepared.tau_max, avg_cost=prepared.avg_cost,
         empirical_std=c1 ** 2 * scale * std / math.sqrt(t_num),
-        seed=config.master_seed, info=info)
-
-
-def cost_summary(report: EstimateReport, cost_psi0: float = 0.0) -> dict:
-    """Total sampling cost: T runs, each touching two sampled unitaries plus
-    one input-state preparation."""
-    return {
-        "tau_max": report.tau_max,
-        "avg_cost": report.avg_cost,
-        "T": report.t_used,
-        "total": report.t_used * (2 * report.avg_cost + cost_psi0),
-    }
+        seed=config.master_seed)
 
 
 def perturb_unitary(u: DenseOperator, delta_u: float, rng) -> DenseOperator:

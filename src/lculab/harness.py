@@ -209,6 +209,9 @@ def parse_config(subcommand: str, flag_params: dict,
     if merged.get("trace") and subcommand not in _DISPATCH:
         raise ConfigError(f"{subcommand} draws no per-sample records; trace "
                           "applies to hamsim, gsp and qls")
+    if merged.get("trace") and subcommand == "hamsim" and merged["t"] == 0:
+        raise ConfigError("hamsim at t = 0 is evaluated exactly and draws no "
+                          "per-sample records; trace needs t != 0")
     return ExperimentConfig(subcommand=subcommand, params=merged)
 
 
@@ -356,56 +359,49 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def _run_hamsim(p: dict):
+def _run_hamsim(p: dict, trace: SampleTrace | None) -> dict:
     h = _parse_ham(p["hamiltonian"])
     o = ham_to_dense(_parse_ham(p["observable"]))
     psi0 = _parse_state(p["state"], h.n_qubits)
     rep = hamsim_estimate(
         h, p["t"], o, psi0, p["eps"], p["delta"], p["seed"], mode=p["mode"],
-        repetitions_override=p.get("repetitions"),
-        collect_records=p.get("trace", False))
-    return {**rep.as_dict(), "info": _info_payload(rep.info)}, rep
+        repetitions_override=p.get("repetitions"), trace=trace)
+    return {**rep.as_dict(), "info": rep.info}
 
 
-def _run_gsp(p: dict):
+def _gsp_problem(p: dict) -> GspProblem:
     h = _parse_ham(p["hamiltonian"])
-    o = ham_to_dense(_parse_ham(p["observable"]))
-    psi0 = _parse_state(p["state"], h.n_qubits)
-    prob = GspProblem(hamiltonian=h, gap_lower_bound=p["gap"],
+    return GspProblem(hamiltonian=h, gap_lower_bound=p["gap"],
                       overlap_lower_bound=p["eta"],
                       ground_energy_estimate=p["e0"],
-                      energy_precision=p["eg"], initial_state=psi0)
-    rep = gsp_estimate(prob, o, p["eps"], p["delta"], p["seed"],
-                       mode=p["mode"], repetitions_override=p.get("repetitions"),
-                       unitary_error=p.get("unitary_error"),
-                       collect_records=p.get("trace", False))
-    return {**rep.as_dict(), "info": _info_payload(rep.info)}, rep
+                      energy_precision=p["eg"],
+                      initial_state=_parse_state(p["state"], h.n_qubits))
 
 
-def _run_qls(p: dict):
+def _qls_problem(p: dict) -> QlsProblem:
     h = _parse_ham(p["hamiltonian"])
+    return QlsProblem(hamiltonian=h, kappa=p["kappa"],
+                      b_state=_parse_state(p["b_state"], h.n_qubits))
+
+
+def _run_gsp(p: dict, trace: SampleTrace | None) -> dict:
     o = ham_to_dense(_parse_ham(p["observable"]))
-    b = _parse_state(p["b_state"], h.n_qubits)
-    prob = QlsProblem(hamiltonian=h, kappa=p["kappa"], b_state=b)
-    rep = qls_estimate(prob, o, p["eps"], p["delta"], p["seed"],
+    rep = gsp_estimate(_gsp_problem(p), o, p["eps"], p["delta"], p["seed"],
                        mode=p["mode"], repetitions_override=p.get("repetitions"),
-                       collect_records=p.get("trace", False))
-    return {**rep.as_dict(), "info": _info_payload(rep.info)}, rep
+                       unitary_error=p.get("unitary_error"), trace=trace)
+    return {**rep.as_dict(), "info": rep.info}
 
 
-def _info_payload(info: dict) -> dict:
-    return {k: v for k, v in info.items()
-            if isinstance(v, (int, float, bool, str, np.integer, np.floating))}
+def _run_qls(p: dict, trace: SampleTrace | None) -> dict:
+    o = ham_to_dense(_parse_ham(p["observable"]))
+    rep = qls_estimate(_qls_problem(p), o, p["eps"], p["delta"], p["seed"],
+                       mode=p["mode"], repetitions_override=p.get("repetitions"),
+                       trace=trace)
+    return {**rep.as_dict(), "info": rep.info}
 
 
 def _run_analog_gsp(p: dict) -> dict:
-    h = _parse_ham(p["hamiltonian"])
-    psi0 = _parse_state(p["state"], h.n_qubits)
-    prob = GspProblem(hamiltonian=h, gap_lower_bound=p["gap"],
-                      overlap_lower_bound=p["eta"],
-                      ground_energy_estimate=p["e0"],
-                      energy_precision=p["eg"], initial_state=psi0)
-    out = analog_gsp(prob, p["eps"])
+    out = analog_gsp(_gsp_problem(p), p["eps"])
     return {
         "bigT": out["bigT"], "success_prob": out["success_prob"],
         "fidelity_or_error": out["fidelity_vs_ground"],
@@ -414,9 +410,7 @@ def _run_analog_gsp(p: dict) -> dict:
 
 
 def _run_analog_qls(p: dict) -> dict:
-    h = _parse_ham(p["hamiltonian"])
-    b = _parse_state(p["b_state"], h.n_qubits)
-    prob = QlsProblem(hamiltonian=h, kappa=p["kappa"], b_state=b)
+    prob = _qls_problem(p)
     if p["ancilla"] == "ring":
         out = analog_qls_ring(prob, p["eps"])
     elif p["ancilla"] == "gaussian":
@@ -524,17 +518,17 @@ _DISPATCH_PLAIN = {
 
 
 def run_with_records(config: ExperimentConfig):
-    """Dispatch one experiment; returns (RunReport, per-sample records or
-    None).  Records are populated only when the trace flag is set and the
-    subcommand is a sampling estimator."""
+    """Dispatch one experiment; returns (RunReport, SampleTrace or None).
+    The trace is made here and filled by the estimator only when the trace
+    flag is set; parse_config allows the flag only where samples are
+    drawn."""
     t0 = time.perf_counter()
     p = config.params
-    records = None
+    trace = SampleTrace() if p.get("trace") else None
     if config.subcommand in _DISPATCH:
-        results, est = _DISPATCH[config.subcommand](p)
-        records = est.info.get("records")
-        if p.get("trace"):
-            results["trace_rows"] = len(records) if records else 0
+        results = _DISPATCH[config.subcommand](p, trace)
+        if trace is not None:
+            results["trace_rows"] = len(trace)
     elif config.subcommand in _DISPATCH_PLAIN:
         results = _DISPATCH_PLAIN[config.subcommand](p)
     elif config.subcommand == "sweep":
@@ -544,7 +538,7 @@ def run_with_records(config: ExperimentConfig):
     elapsed = time.perf_counter() - t0
     report = RunReport(config=_config_echo(config), results=results,
                        timings={"total_s": elapsed})
-    return report, records
+    return report, trace
 
 
 def run(config: ExperimentConfig) -> RunReport:

@@ -25,6 +25,7 @@ from lculab.core_algebra import (
     plus_state,
     spectral_norm,
 )
+from lculab.estimator import SampleTrace
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,6 +103,20 @@ class TestHamsim:
         rep = hamsim_estimate(h, 1.0, o, psi0, 0.2, 0.1, seed=5,
                               repetitions_override=60000)
         assert abs(rep.ratio - exact) <= 0.1
+
+    def test_observable_lcu_std_carries_h1(self):
+        # mu is c1^2 h1 mean(values), so its standard error carries h1 too
+        o = ObservableLcu(((1.5, DenseOperator(Z, unitary=True)),
+                           (-1.5, DenseOperator(X, unitary=True))))
+        trace = SampleTrace()
+        rep = hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
+                              plus_state(1), 0.2, 0.1, seed=7,
+                              repetitions_override=2000, trace=trace)
+        values = np.concatenate([v for _, _, v, _ in trace.chunks])
+        assert o.h1_norm == 3.0 and len(values) == rep.t_used == 2000
+        expected = (rep.info["c1"] ** 2 * o.h1_norm * np.std(values)
+                    / math.sqrt(rep.t_used))
+        assert rep.empirical_std == pytest.approx(expected, rel=1e-12)
 
     def test_determinism(self):
         h = parse_pauli_text("0.5*Z+0.3*X")

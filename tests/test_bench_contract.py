@@ -14,22 +14,25 @@ from lculab import (
     applications,
     core_algebra,
     estimator,
+    harness,
     lcu_decomp,
     walks,
 )
 from lculab.harness import parse_config, run
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("target", tracer.TARGETS,
@@ -140,3 +143,38 @@ def test_warm_qls_op_reaches_traced_layers(monkeypatch):
     assert applications._cached_prepared.cache_info().hits == hits + 1
     assert calls["prepare"] >= 1
     assert calls["states"] >= 1
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.BLOCKS))
+def test_traced_round_reads_every_required_layer(workload):
+    # one round of the workload as perfbench/run.py traces it: an op is
+    # parse_config -> run_with_records -> to_json, plus trace_csv when it
+    # sets trace.  A layer the ops no longer reach reads zero and would be
+    # dropped from the benchmark's result line.
+    ops = workloads.round_ops(workload, 1, 0)
+    caches = [v for v in vars(applications).values()
+              if hasattr(v, "cache_clear")]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        t_used = 0
+        for i, op in enumerate(ops):
+            tr.op = i
+            cfg = harness.parse_config(op["sub"], op["params"])
+            report, trace = harness.run_with_records(cfg)
+            report.to_json()
+            if cfg.params.get("trace"):
+                harness.trace_csv(trace)
+            if op["sub"] in ("hamsim", "gsp", "qls"):
+                t_used += report.results["T_used"]
+        infos = [c.cache_info() for c in caches]
+    finally:
+        tr.uninstall()
+    walk_ops = sum(op["sub"] == "walks-search" for op in ops)
+    values = tracer.layer_metrics(tr, len(ops), t_used, walk_ops)
+    hits, misses = sum(i.hits for i in infos), sum(i.misses for i in infos)
+    values["applications.decomp_cache_hit_ratio"] = (
+        hits / (hits + misses) if hits + misses else 0.0)
+    assert tracer.missing_layers(tr, workload, values) == {}

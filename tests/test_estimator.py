@@ -26,7 +26,7 @@ from lculab.estimator import (
     PerturbedLcu,
     PreparedProductLcu,
     ProductSampler,
-    cost_summary,
+    SampleTrace,
     expectation_observable,
     perturb_unitary,
     prepare,
@@ -54,6 +54,17 @@ def _identity_lcu():
 def _two_term_lcu():
     return LcuDecomposition(coeffs=[0.6, 0.4], durations=[0.8, -1.3],
                             phases=[1.0, 1.0], target_error=0.0)
+
+
+def cost_summary(report, cost_psi0: float = 0.0) -> dict:
+    """Total sampling cost: T runs, each touching two sampled unitaries plus
+    one input-state preparation."""
+    return {
+        "tau_max": report.tau_max,
+        "avg_cost": report.avg_cost,
+        "T": report.t_used,
+        "total": report.t_used * (2 * report.avg_cost + cost_psi0),
+    }
 
 
 def _term_matrices(dec, h):
@@ -190,9 +201,9 @@ class TestExpectationObservable:
         h = DenseOperator(Z, hermitian=True)
         cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode="expectation",
                               master_seed=0)
-        mu, _, _ = expectation_observable(_identity_lcu(), basis_state(1, 0),
-                                          DenseOperator(Z, hermitian=True),
-                                          1, cfg, context=h)
+        mu, _ = expectation_observable(_identity_lcu(), basis_state(1, 0),
+                                       DenseOperator(Z, hermitian=True),
+                                       1, cfg, context=h)
         assert mu == pytest.approx(1.0)
 
     def test_unbiased_over_seeds(self):
@@ -208,8 +219,8 @@ class TestExpectationObservable:
         for seed in range(n_seeds):
             cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode="expectation",
                                   master_seed=seed)
-            mu, _, _ = expectation_observable(dec, psi0, o, t_reps, cfg,
-                                              context=h)
+            mu, _ = expectation_observable(dec, psi0, o, t_reps, cfg,
+                                           context=h)
             mus.append(mu)
         band = 3 * dec.l1_norm ** 2 * 1.0 / math.sqrt(t_reps * n_seeds)
         assert abs(np.mean(mus) - exact) <= band
@@ -221,8 +232,8 @@ class TestExpectationObservable:
                               master_seed=123)
         args = (dec, plus_state(1), DenseOperator(Z, hermitian=True), 5000,
                 cfg)
-        mu_a, _, _ = expectation_observable(*args, context=h)
-        mu_b, _, _ = expectation_observable(*args, context=h)
+        mu_a, _ = expectation_observable(*args, context=h)
+        mu_b, _ = expectation_observable(*args, context=h)
         assert mu_a == mu_b
 
     def test_shot_and_expectation_agree_in_mean(self):
@@ -235,8 +246,8 @@ class TestExpectationObservable:
         cfg_s = EstimatorConfig(epsilon=0.1, delta=0.1, mode="shot",
                                 master_seed=5)
         dec = _identity_lcu()
-        mu_e, _, _ = expectation_observable(dec, psi0, o, 1, cfg_e, context=h)
-        mu_s, _, _ = expectation_observable(dec, psi0, o, n, cfg_s, context=h)
+        mu_e, _ = expectation_observable(dec, psi0, o, 1, cfg_e, context=h)
+        mu_s, _ = expectation_observable(dec, psi0, o, n, cfg_s, context=h)
         assert abs(mu_s - mu_e) <= 4 / math.sqrt(n)
 
 
@@ -269,15 +280,15 @@ class TestEnumeratedKernel:
         prepared, psi0, o = _enumerated_case(kind)
         cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode=mode,
                               master_seed=seed)
-        out = expectation_observable(prepared, psi0, o, t_reps, cfg,
-                                     collect_records=True)
+        recs = SampleTrace()
+        expectation_observable(prepared, psi0, o, t_reps, cfg, trace=recs)
         ref = [run_circuit_sample(prepared, psi0, o, mode, (seed, 0, 0),
                                   index=i) for i in range(t_reps)]
-        return out, ref
+        return recs, ref
 
     @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
     def test_trace_rows_match_reference(self, kind):
-        (_, recs, _), ref = self._run(kind, "expectation")
+        recs, ref = self._run(kind, "expectation")
         assert [r.index for r in recs] == list(range(len(ref)))
         assert [r.term_ids for r in recs] == [r.term_ids for r in ref]
         assert [r.cost for r in recs] == [r.cost for r in ref]
@@ -286,7 +297,7 @@ class TestEnumeratedKernel:
 
     @pytest.mark.parametrize("kind", ENUMERATED_KINDS)
     def test_shot_values_match_reference(self, kind):
-        (_, recs, _), ref = self._run(kind, "shot")
+        recs, ref = self._run(kind, "shot")
         assert [r.term_ids for r in recs] == [r.term_ids for r in ref]
         assert [r.value for r in recs] == [r.value for r in ref]
         assert len({r.value for r in recs}) == 2
@@ -297,11 +308,11 @@ class TestEnumeratedKernel:
         prepared, psi0, o = _enumerated_case(kind)
         cfg = EstimatorConfig(epsilon=0.1, delta=0.1, mode=mode,
                               master_seed=4)
-        mu_a, recs_a, stats_a = expectation_observable(prepared, psi0, o,
-                                                       3000, cfg)
-        mu_b, recs_b, stats_b = expectation_observable(
-            prepared, psi0, o, 3000, cfg, collect_records=True)
-        assert recs_a is None and len(recs_b) == 3000
+        mu_a, stats_a = expectation_observable(prepared, psi0, o, 3000, cfg)
+        recs_b = SampleTrace()
+        mu_b, stats_b = expectation_observable(prepared, psi0, o, 3000, cfg,
+                                               trace=recs_b)
+        assert len(recs_b) == 3000
         assert (mu_a, stats_a) == (mu_b, stats_b)
 
     def test_shot_rejects_non_involutory_observable(self):

@@ -379,10 +379,10 @@ class TestTraceCsv:
                            (0.5, DenseOperator(np.array([[0.0, 1.0],
                                                          [1.0, 0.0]]),
                                                unitary=True))))
-        rep = hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
-                              plus_state(1), 0.2, 0.1, seed=5,
-                              repetitions_override=300, collect_records=True)
-        records = rep.info["records"]
+        records = SampleTrace()
+        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
+                        plus_state(1), 0.2, 0.1, seed=5,
+                        repetitions_override=300, trace=records)
         text = trace_csv(records)
         assert text == reference_trace_csv(records)
         assert all(line.split(",")[1].count("|") == 2
@@ -645,6 +645,9 @@ class TestCli:
         ["analog-qls", "--hamiltonian", "0.6*ZZ+0.4*XX", "--kappa", "5"],
         ["sweep", "--base", "hamsim", "--axis", "t", "--values", "1,2",
          "--hamiltonian", "0.5*Z", "--observable", "1.0*Z"],
+        # t = 0 is evaluated exactly, without samples
+        ["hamsim", "--hamiltonian", "0.5*Z", "--t", "0",
+         "--observable", "1.0*Z"],
     ], ids=lambda argv: argv[0])
     def test_trace_without_samples_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"

@@ -480,7 +480,9 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
     rescaled for the ratio's error budget.  A unit-normalized target skips
     phase two.  `trace` receives the samples of phase one."""
     prepared = prepare(lcu, context)
-    norm_o = observable_norm(o)
+    # |O| enters only the Hoeffding counts and the normalization floor
+    needs_norm = config.repetitions_override is None or not prepared.unit_normalized
+    norm_o = observable_norm(o) if needs_norm else None
     scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     c1 = prepared.l1_norm
     eps, delta, ell_star = config.epsilon, config.delta, config.ell_star

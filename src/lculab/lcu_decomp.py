@@ -1,9 +1,8 @@
 """Coefficient sets and unitary families for linear-combination expansions.
 
 Generators: Gaussian (time-evolution mixture for e^{-t H^2}), discretized
-inverse (1/x as a two-index Fourier quadrature), Taylor segments of e^{-iHt}
-over Pauli products, and the Chebyshev coefficients of x^t that the walk
-search samples.  The Gaussian and inverse generators check their scalar
+inverse (1/x as a two-index Fourier quadrature) and Taylor segments of e^{-iHt}
+over Pauli products.  The Gaussian and inverse generators check their scalar
 function, so the advertised target error is verified, not assumed.
 """
 
@@ -13,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core_algebra import (
     DenseOperator,
@@ -324,29 +322,3 @@ def taylor_truncation_order(x: float, r: int, gamma: float) -> int:
         if k > 1000:
             raise RuntimeError("truncation order runaway")
     return k
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev expansion of x^t
-
-def _log_binom(n: int, k: int) -> float:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
-def chebyshev_power_coeffs(t: int, d: int) -> np.ndarray:
-    """Coefficients c_l with x^t ~ sum_l c_l T_{2l}(x) (even t) or
-    sum_l c_l T_{2l+1}(x) (odd t), truncated at polynomial degree d."""
-    if d > t or d < 0:
-        raise ValueError("need 0 <= d <= t")
-    if d % 2 != t % 2:
-        raise ValueError("d must match the parity of t")
-    ln2 = math.log(2.0)
-    if t % 2 == 0:
-        out = [math.exp(_log_binom(t, t // 2) - t * ln2)]
-        for ell in range(1, d // 2 + 1):
-            out.append(math.exp(_log_binom(t, t // 2 + ell) + (1 - t) * ln2))
-    else:
-        out = []
-        for ell in range(0, (d - 1) // 2 + 1):
-            out.append(math.exp(_log_binom(t, (t + 1) // 2 + ell) + (1 - t) * ln2))
-    return np.array(out)

@@ -7,8 +7,9 @@ matrix.  Walk powers block-encode Chebyshev polynomials of the
 discriminant, which the two search algorithms sample through truncated
 power / exponential mixtures.
 
-Trials, the exact oracle and the Theorem-1 slack read two objects of one
-search schedule: the mixture P(e | t) over walk powers, and per
+Trials, the exact oracle and the Theorem-1 slack read two tables of one
+search schedule: the Chebyshev table, whose row x is the truncated
+Chebyshev mixture over walk powers of the monomial of degree x, and per
 interpolation value s a table of the node marginals of W(s)^e A|sqrt(pi_U)>,
 one row per power.  tests/walk_oracle.py keeps the state-level references."""
 
@@ -22,7 +23,6 @@ from scipy.special import gammaln
 
 from ._kernels import make_rng
 from .core_algebra import UNITARY_TOL, DenseOperator, StateVector
-from .lcu_decomp import chebyshev_power_coeffs
 
 MAX_NODES = 64
 
@@ -32,7 +32,6 @@ class MarkovChain:
     p: np.ndarray
     pi: np.ndarray
     reversible: bool = False
-    ergodic: bool = True
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -241,14 +240,21 @@ class _SearchSchedule:
     """Everything one search call derives from (chain, marked, config, algo):
     the hitting time HT of the lazy chain, T = max(c_t HT, 2), the r-grid,
     the polynomial degrees d (and d' for algo 2) with their truncation
-    budget eps, pi_M and sqrt(pi_U), the walk-power mixture P(e | t) and one
+    budget eps, pi_M and sqrt(pi_U), the Chebyshev table `cheb` and one
     node-marginal table per interpolation value s, built when s is first
     asked for.
 
     Algo 1 samples the truncated Chebyshev mixture of x^t at degree d.
     Algo 2 draws l from the Poisson(t) weights truncated at d, then samples
     the mixture of x^l at degree d'.  No mixture reaches past the power
-    max_e: d (algo 1) or d' (algo 2)."""
+    max_e: d (algo 1) or d' (algo 2).
+
+    Row x of the read-only table `cheb` is the truncated Chebyshev mixture
+    of the monomial of degree x, for every degree a trial can draw: t <=
+    floor(T) (algo 1), or each l that has a nonzero Poisson(t) weight for
+    some t <= floor(T) (algo 2).  Trials draw their walk power from row x,
+    `mixture(t)` mixes the rows by P(x | t), and the oracle mixes them once
+    by P(x | t) averaged over t."""
 
     def __init__(self, c: MarkovChain, marked, config: SearchConfig, algo: int):
         self.chain = lazy(c)
@@ -264,44 +270,38 @@ class _SearchSchedule:
             self.d = math.ceil(math.sqrt(big_t * log2t))
             self.dprime = None
             self.eps = 24.0 * math.exp(-self.d ** 2 / (2.0 * max(int(big_t), 1)))
+            rows = int(big_t) + 1
         else:
             self.d = math.ceil(big_t * math.e ** 2)
             self.dprime = math.ceil(math.sqrt(2 * big_t * math.log(48 * log2t ** 2)))
             self.eps = 48.0 * log2t ** 2 * math.exp(-self.dprime ** 2 / (2.0 * big_t))
+            # log Poisson(t) at x > t grows with t: floor(T) has the last weight
+            rows = int(np.flatnonzero(_poisson(int(big_t), self.d))[-1]) + 1
         self.max_e = self.d if algo == 1 else self.dprime
+        self.cheb = _chebyshev_table(rows, self.max_e)
         self.dmat: dict[float, np.ndarray] = {}
         self._tables: dict[float, np.ndarray] = {}
-        self._steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def steps(self, x: int):
-        """(exponents, probabilities) of the truncated Chebyshev mixture of
-        the monomial of degree x, t (algo 1) or the Poisson draw l (algo 2),
-        at degree max_e: walk powers 2l (even x) or 2l+1 (odd x).  Computed
-        once per x; the arrays are read-only."""
-        if x not in self._steps:
-            exps, probs = np.array([0]), np.array([1.0])
-            if x:
-                dd = min(self.max_e, x)
-                c = chebyshev_power_coeffs(x, dd - (dd - x) % 2)
-                exps, probs = 2 * np.arange(len(c)) + x % 2, c / c.sum()
-            exps.setflags(write=False)
-            probs.setflags(write=False)
-            self._steps[x] = exps, probs
-        return self._steps[x]
+    def x_weights(self, t: int) -> np.ndarray:
+        """P(x | t) over the rows of `cheb`: x = t (algo 1), or the Poisson(t)
+        weights truncated at d (algo 2), whose tail past the rows is zero."""
+        if self.algo == 1:
+            weights = np.zeros(len(self.cheb))
+            weights[t] = 1.0
+            return weights
+        return _poisson(t, self.d)[:len(self.cheb)]
+
+    def power_mixture(self, x_weights: np.ndarray) -> np.ndarray:
+        """P(e) for e = 0..max_e of the rows of `cheb` mixed by x_weights."""
+        mix = np.zeros(2 * self.cheb.shape[1])
+        for parity in (0, 1):
+            mix[parity::2] = x_weights[parity::2] @ self.cheb[parity::2]
+        return mix[:self.max_e + 1]
 
     def mixture(self, t: int) -> np.ndarray:
         """P(e | t) for e = 0..max_e: the mixture of x^t (algo 1), or the
         Poisson(t) weights truncated at d over the mixtures of x^l (algo 2)."""
-        mix = np.zeros(self.max_e + 1)
-        if self.algo == 1:
-            exps, probs = self.steps(t)
-            mix[exps] = probs
-            return mix
-        poisson = _poisson(t, self.d)
-        for ell in np.flatnonzero(poisson):
-            exps, probs = self.steps(int(ell))
-            mix[exps] += poisson[ell] * probs
-        return mix
+        return self.power_mixture(self.x_weights(t))
 
     def table(self, s: float) -> np.ndarray:
         """Node marginals of W(s)^e A|sqrt(pi_U)> = U_P V(s)^e |0>|sqrt(pi_U)>,
@@ -320,6 +320,24 @@ class _SearchSchedule:
             self._tables[s] = table
             self.dmat[s] = w.d.entries
         return self._tables[s]
+
+
+def _chebyshev_table(rows: int, max_e: int) -> np.ndarray:
+    """Read-only (rows, max_e // 2 + 1) array, stored parity-compact: row x
+    holds the coefficients c_e of y^x = sum_e c_e T_e(y) on the powers
+    e = 2l + (x mod 2) <= min(x, max_e), column l for power e, normalized
+    to sum to one.  c_e = binom(x, (x + e)/2) 2^{1-x}, halved at e = 0, is
+    taken in the log domain, where the binomials do not overflow."""
+    x = np.arange(rows)[:, None]
+    e = 2 * np.arange(max_e // 2 + 1) + x % 2
+    k = (x + e) // 2
+    keep = e <= np.minimum(x, max_e)
+    log_c = (gammaln(x + 1) - gammaln(k + 1) - gammaln(x - k + 1)
+             + (1 - x) * math.log(2.0) - np.where(e == 0, math.log(2.0), 0.0))
+    table = np.where(keep, np.exp(log_c), 0.0)
+    table /= table.sum(axis=1, keepdims=True)
+    table.setflags(write=False)
+    return table
 
 
 def _drift_weight(dmat: np.ndarray, marked_idx: list[int],
@@ -347,8 +365,8 @@ def _run_search(sch: _SearchSchedule, rng) -> SearchOutcome:
         x = t
     else:
         x = int(rng.choice(np.arange(sch.d + 1), p=_poisson(t, sch.d)))
-    exps, probs = sch.steps(x)
-    steps = int(rng.choice(exps, p=probs))
+    row = sch.cheb[x]
+    steps = 2 * int(rng.choice(len(row), p=row)) + x % 2
     node_probs = sch.table(s)[steps]
     node = int(rng.choice(sch.chain.n, p=node_probs / node_probs.sum()))
     return SearchOutcome(node in sch.marked, node, s, t, steps)
@@ -367,18 +385,16 @@ def run_search_trials(c: MarkovChain, marked, config: SearchConfig,
 def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,
                              algo: int) -> float:
     """Exact success probability of the full algorithm (pre-measurement plus
-    the sampled-polynomial walk stage), by enumerating r, t and the
-    walk-power mixture."""
+    the sampled-polynomial walk stage): the walk-power mixture averaged over
+    t, against the marked weights of every r."""
     sch = _SearchSchedule(c, marked, config, algo)
     ts = range(int(sch.big_t) + 1)
-    # each t's mixture over walk powers is the same for every r
-    mixes = np.array([sch.mixture(t) for t in ts])
+    mix = sch.power_mixture(sum(map(sch.x_weights, ts)) / len(ts))
     walk_total = 0.0
     for r in sch.r_set:
         marked_weights = sch.table(1.0 - 1.0 / r)[:, sch.marked_idx].sum(axis=1)
-        for weight in mixes @ marked_weights:
-            walk_total += float(weight)
-    walk_avg = walk_total / (len(sch.r_set) * len(ts))
+        walk_total += float(mix @ marked_weights)
+    walk_avg = walk_total / len(sch.r_set)
     return sch.pi_m + (1 - sch.pi_m) * walk_avg
 
 

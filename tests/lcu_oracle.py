@@ -1,9 +1,10 @@
-"""References for the tests of `lculab.lcu_decomp`: the term-by-term
-scalar symbol and realized operator of a time-evolution decomposition, the
-truncated Chebyshev expansion of x^t evaluated on a grid, and the
-Poisson-weighted exponential polynomial q(x) = e^{-t} sum_j (t^j/j!)
-p_{j,d'}(x), the degree-d' proxy for e^{-t(1-x)} and, through
-q(1 - 2x^2), for e^{-t x^2}.
+"""References for the tests of `lculab.lcu_decomp` and `lculab.walks`: the
+term-by-term scalar symbol and realized operator of a time-evolution
+decomposition, the truncated Chebyshev expansion of x^t coefficient by
+coefficient (the reference for the walk search's Chebyshev table) and
+evaluated on a grid, and the Poisson-weighted exponential polynomial
+q(x) = e^{-t} sum_j (t^j/j!) p_{j,d'}(x), the degree-d' proxy for
+e^{-t(1-x)} and, through q(1 - 2x^2), for e^{-t x^2}.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from lculab.lcu_decomp import chebyshev_power_coeffs, term_unitaries
+from lculab.lcu_decomp import term_unitaries
 
 
 def direct_scalar_function(decomp, xs: np.ndarray) -> np.ndarray:
@@ -35,6 +36,29 @@ def direct_realized_sum(decomp, h) -> np.ndarray:
     for c, u in zip(decomp.coeffs.tolist(), term_unitaries(decomp, h)):
         acc = acc + c * u
     return acc
+
+
+def _log_binom(n: int, k: int) -> float:
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def chebyshev_power_coeffs(t: int, d: int) -> np.ndarray:
+    """Coefficients c_l with x^t ~ sum_l c_l T_{2l}(x) (even t) or
+    sum_l c_l T_{2l+1}(x) (odd t), truncated at polynomial degree d."""
+    if d > t or d < 0:
+        raise ValueError("need 0 <= d <= t")
+    if d % 2 != t % 2:
+        raise ValueError("d must match the parity of t")
+    ln2 = math.log(2.0)
+    if t % 2 == 0:
+        out = [math.exp(_log_binom(t, t // 2) - t * ln2)]
+        for ell in range(1, d // 2 + 1):
+            out.append(math.exp(_log_binom(t, t // 2 + ell) + (1 - t) * ln2))
+    else:
+        out = []
+        for ell in range(0, (d - 1) // 2 + 1):
+            out.append(math.exp(_log_binom(t, (t + 1) // 2 + ell) + (1 - t) * ln2))
+    return np.array(out)
 
 
 def chebyshev_power_eval(t: int, d: int, xs: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lculab import applications
+from lculab import applications, estimator
 from lculab.applications import (
     PREPARED_CACHE_SIZE,
     GspProblem,
@@ -117,6 +117,21 @@ class TestHamsim:
         expected = (rep.info["c1"] ** 2 * o.h1_norm * np.std(values)
                     / math.sqrt(rep.t_used))
         assert rep.empirical_std == pytest.approx(expected, rel=1e-12)
+
+    def test_one_observable_norm_per_op(self, monkeypatch):
+        # hamsim_estimate sizes T from |O|; single_ancilla_lcu, given that T
+        # and a unitary target, has no use for a second SVD of O
+        o = DenseOperator(Z, hermitian=True)
+        norm, calls = estimator.spectral_norm, []
+
+        def counted(a):
+            calls.append(a is o.entries)
+            return norm(a)
+
+        monkeypatch.setattr(estimator, "spectral_norm", counted)
+        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
+                        plus_state(1), 0.2, 0.2, seed=0)
+        assert sum(calls) == 1
 
     def test_determinism(self):
         h = parse_pauli_text("0.5*Z+0.3*X")

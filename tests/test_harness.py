@@ -212,8 +212,8 @@ class TestRunReports:
     def test_walks_search_at_node_cap(self):
         # 60 trials: Hoeffding at delta = 1e-6 bounds |empirical - oracle|
         start = time.monotonic()
-        for graph, algo in (("cycle:64", "1"), ("complete:64", "1"),
-                            ("complete:64", "2")):
+        for graph, algo in (("cycle:64", "1"), ("cycle:64", "2"),
+                            ("complete:64", "1"), ("complete:64", "2")):
             r = run(parse_config("walks-search",
                                  {"graph": graph, "marked": "0", "algo": algo,
                                   "trials": "60"})).results

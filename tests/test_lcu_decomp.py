@@ -20,7 +20,6 @@ from lculab.lcu_decomp import (
     LcuDecomposition,
     SegmentLcu,
     apply_pauli_rotation,
-    chebyshev_power_coeffs,
     gaussian_lcu,
     inverse_lcu,
     realized_sum,
@@ -29,6 +28,7 @@ from lculab.lcu_decomp import (
     term_unitaries,
 )
 from lcu_oracle import (
+    chebyshev_power_coeffs,
     chebyshev_power_eval,
     direct_realized_sum,
     direct_scalar_function,

@@ -12,6 +12,7 @@ from lculab.walks import (
     MarkovChain,
     SearchConfig,
     WalkOperator,
+    _poisson,
     chain_from_edgelist,
     chain_from_matrix,
     complete_chain,
@@ -24,6 +25,7 @@ from lculab.walks import (
     run_search_trials,
     theorem1_slack,
 )
+from lcu_oracle import chebyshev_power_coeffs
 from walk_oracle import (
     DenseWalk,
     branches,
@@ -439,20 +441,26 @@ class TestScheduleTables:
         chain, marked = SEARCH_CASES[case]
         sch = walks._SearchSchedule(chain(), marked, SearchConfig(c_t=c_t), algo)
         assert sch.max_e == (sch.d if algo == 1 else sch.dprime)
-        # every monomial degree a trial can draw: t, or the Poisson draw l
-        draws = range(int(sch.big_t) + 1) if algo == 1 else range(sch.d + 1)
-        for x in draws:
-            exps, probs = sch.steps(x)
+        # every monomial degree a trial can draw: t, or the Poisson draw l,
+        # has a row of the table
+        ts = range(int(sch.big_t) + 1)
+        if algo == 1:
+            assert len(sch.cheb) == len(ts)
+        else:
+            assert not any(_poisson(t, sch.d)[len(sch.cheb):].any() for t in ts)
+        for x in range(len(sch.cheb)):
+            exps = 2 * np.flatnonzero(sch.cheb[x]) + x % 2
             assert 0 <= exps.min() and exps.max() <= sch.max_e
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        for t in range(int(sch.big_t) + 1):
+            assert sch.cheb[x].sum() == pytest.approx(1.0, abs=1e-12)
+        for t in ts:
             mix = sch.mixture(t)
             assert mix.shape == (sch.max_e + 1,)
             assert mix.sum() == pytest.approx(1.0, abs=1e-12)
         assert sch.table(0.5).shape == (sch.max_e + 1, sch.chain.n)
 
-    def test_mixture_matches_branches(self):
-        chain, marked = SEARCH_CASES["cycle:8"]
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_mixture_matches_branches(self, case):
+        chain, marked = SEARCH_CASES[case]
         for algo in (1, 2):
             sch = walks._SearchSchedule(chain(), marked, SearchConfig(), algo)
             for t in range(int(sch.big_t) + 1):
@@ -460,6 +468,33 @@ class TestScheduleTables:
                 for pr, e in branches(t, sch.d, sch.dprime):
                     ref[e] += pr
                 assert np.max(np.abs(sch.mixture(t) - ref)) <= 1e-15
+
+    @staticmethod
+    def _assert_rows_match_coeffs(sch, rows):
+        for x in rows:
+            dd = min(x, sch.max_e)
+            ref = chebyshev_power_coeffs(x, dd - (dd - x) % 2)
+            want = np.zeros(sch.cheb.shape[1])
+            want[:len(ref)] = ref / ref.sum()
+            assert np.max(np.abs(sch.cheb[x] - want)) <= 1e-14, x
+
+    @pytest.mark.parametrize("c_t", [1.0, 3.0])
+    @pytest.mark.parametrize("algo", [1, 2])
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_chebyshev_table_matches_coeffs(self, case, algo, c_t):
+        chain, marked = SEARCH_CASES[case]
+        sch = walks._SearchSchedule(chain(), marked, SearchConfig(c_t=c_t), algo)
+        assert sch.cheb.shape[1] == sch.max_e // 2 + 1
+        assert not sch.cheb.flags.writeable
+        self._assert_rows_match_coeffs(sch, range(len(sch.cheb)))
+
+    def test_chebyshev_table_at_node_cap(self):
+        # rows past x ~ 1030 hold binomials beyond the float range
+        sch = walks._SearchSchedule(cycle_chain(64), {0}, SearchConfig(), 2)
+        last = len(sch.cheb) - 1
+        assert last < sch.d and _poisson(int(sch.big_t), sch.d)[last] > 0
+        assert not _poisson(int(sch.big_t), sch.d)[last + 1:].any()
+        self._assert_rows_match_coeffs(sch, [0, 1, 2, last // 2, last])
 
 
 class TestEdgelist:

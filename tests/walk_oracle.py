@@ -11,7 +11,7 @@ The state-level references keep every walk power as an edge state: the
 branch enumerations of the walk-power mixtures, the oracle and slack summed
 over those branches, and the per-trial step path, which measures the node
 register of the edge state each trial steps to.  The search schedule's
-mixture and node-marginal tables replace them in `lculab.walks`.
+Chebyshev and node-marginal tables replace them in `lculab.walks`.
 """
 
 import math
@@ -21,7 +21,6 @@ from scipy.special import gammaln
 
 from lculab._kernels import make_rng
 from lculab.core_algebra import DenseOperator, StateVector
-from lculab.lcu_decomp import chebyshev_power_coeffs
 from lculab.walks import (
     InterpolatedChain,
     SearchOutcome,
@@ -33,6 +32,7 @@ from lculab.walks import (
     discriminant,
     edge_zero_state,
 )
+from lcu_oracle import chebyshev_power_coeffs
 
 
 class DenseWalk:

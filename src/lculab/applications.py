@@ -181,7 +181,8 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
               else required_repetitions(norm_o, c1, epsilon, delta))
     cfg = EstimatorConfig(epsilon=epsilon, delta=delta, mode=mode,
                           repetitions_override=t_reps, master_seed=seed)
-    report = single_ancilla_lcu(lcu, psi0, o, cfg, context=h, trace=trace)
+    report = single_ancilla_lcu(lcu, psi0, o, cfg, context=h, trace=trace,
+                                norm_o=norm_o)
     info = {"r": r, "K": bigk, "c1": c1, "gamma": gamma,
             "tau_max_bound": (bigk + 1) * r,
             "flattened": not isinstance(lcu, ProductSampler)}
@@ -216,7 +217,7 @@ def gsp_estimate(p: GspProblem, o, epsilon: float, delta: float, seed: int,
         from .estimator import PerturbedLcu
         lcu = PerturbedLcu(dec, context, unitary_error, make_rng(seed, 99))
     report = single_ancilla_lcu(lcu, p.initial_state, o, cfg, context=context,
-                                trace=trace)
+                                trace=trace, norm_o=norm_o)
     info = {"t": t, "gamma": gamma, "M": dec.info["M"],
             "delta_t": dec.info["delta_t"], "tau_max_formula":
                 dec.info["M"] * dec.info["delta_t"] * math.sqrt(2 * t),
@@ -238,7 +239,7 @@ def qls_estimate(p: QlsProblem, o, epsilon: float, delta: float, seed: int,
                           repetitions_override=repetitions_override,
                           master_seed=seed, ell_star=1.0)
     report = single_ancilla_lcu(lcu, p.b_state, o, cfg, context=lcu.context,
-                                trace=trace)
+                                trace=trace, norm_o=norm_o)
     info = {"gamma": gamma, "J": dec.info["J"], "K": dec.info["K"],
             "tau_max_formula": dec.info["tau_max"], "c1": dec.l1_norm,
             "kappa": p.kappa}

@@ -59,13 +59,6 @@ class DenseOperator:
             if spectral_norm(gram - np.eye(self.dim)) > UNITARY_TOL:
                 raise ValueError("matrix fails the unitary check")
 
-    def norm(self) -> float:
-        return spectral_norm(self.entries)
-
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.entries.conj().T,
-                             hermitian=self.hermitian, unitary=self.unitary)
-
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         return DenseOperator(self.entries @ other.entries)
 
@@ -134,15 +127,6 @@ class PauliString:
     @property
     def n_qubits(self) -> int:
         return len(self.symbols)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        """Symbol-wise parity rule: anticommute iff an odd number of
-        positions hold distinct non-identity Paulis."""
-        if len(self.symbols) != len(other.symbols):
-            raise ValueError("length mismatch")
-        clashes = sum(1 for a, b in zip(self.symbols, other.symbols)
-                      if a != "I" and b != "I" and a != b)
-        return clashes % 2 == 0
 
 
 def pauli_to_dense(p: PauliString) -> DenseOperator:
@@ -267,18 +251,6 @@ def expectation(state, o: DenseOperator) -> float:
     return float(val.real)
 
 
-def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    return DenseOperator(np.kron(a.entries, b.entries),
-                         hermitian=a.hermitian and b.hermitian,
-                         unitary=a.unitary and b.unitary)
-
-
-def tensor_state(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(np.kron(a.amplitudes, b.amplitudes),
-                       normalized=a.normalized and b.normalized,
-                       n_qubits=a.n_qubits + b.n_qubits)
-
-
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
     r"(?:(?P<coef>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*)?"
@@ -306,11 +278,3 @@ def parse_pauli_text(text: str) -> PauliHamiltonian:
         terms.append((sign * coef, PauliString(m.group("paulis"))))
         pos = m.end()
     return PauliHamiltonian(tuple(terms))
-
-
-def format_pauli_text(h: PauliHamiltonian) -> str:
-    parts = []
-    for c, p in h.terms:
-        c = c * (1 if p.phase == 1 else -1)
-        parts.append(f"{'+' if c >= 0 and parts else ''}{c!r}*{p.symbols}")
-    return " ".join(parts) if parts else "0*I"

@@ -141,7 +141,8 @@ def required_repetitions(norm_o: float, c1: float, epsilon: float, delta: float)
 
 class PreparedLcu:
     """Enumerated decomposition bound to its realization context.  A time
-    evolution costs its duration."""
+    evolution costs its duration.  Its draws read `table`, the GuideTable
+    of `probs`, which lives and dies with the form."""
 
     def __init__(self, decomp: LcuDecomposition, context):
         self.decomp = decomp
@@ -156,6 +157,7 @@ class PreparedLcu:
         self.costs = costs
         self.probs.setflags(write=False)
         self.costs.setflags(write=False)
+        self.table = _kernels.GuideTable(self.probs)
         self.tau_max = float(costs.max()) if len(costs) else 0.0
         self.avg_cost = float(self.probs @ costs)
         self._batch_cache: tuple | None = None   # (amplitude bytes, rows)
@@ -310,12 +312,13 @@ def observable_norm(o) -> float:
     raise TypeError("observable must be a DenseOperator or ObservableLcu")
 
 
-def _shot_scale(o: DenseOperator) -> float:
-    """|O| for a shot-mode observable, after checking that O^2 = I, so
-    every measurement outcome reads +-|O|."""
+def _shot_scale(o: DenseOperator, norm_o: float | None = None) -> float:
+    """|O| for a shot-mode observable (`norm_o` when the caller has taken
+    it), after checking that O^2 = I, so every measurement outcome reads
+    +-|O|."""
     if spectral_norm(o.entries @ o.entries - np.eye(o.dim)) > 1e-9:
         raise ValueError("shot mode needs an involutory (+-1 valued) observable")
-    return spectral_norm(o.entries)
+    return spectral_norm(o.entries) if norm_o is None else norm_o
 
 
 def _identity_like(dim: int) -> DenseOperator:
@@ -365,7 +368,8 @@ def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
         cost = prepared.cost(d1) + prepared.cost(d2)
         ids = (-1, -1)
     else:
-        j1, j2 = _kernels.pair_draws(prepared.probs, key1, key2, index, 1)
+        j1, j2 = _kernels.pair_draws(prepared.probs, key1, key2, index, 1,
+                                     prepared.table)
         j1 = int(j1[0]); j2 = int(j2[0])
         states = prepared.states(psi0)
         psi1 = states[j1]
@@ -391,12 +395,13 @@ def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
 def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
                            config: EstimatorConfig, context=None,
                            experiment: int = 0, phase: int = 0,
-                           trace: SampleTrace | None = None):
+                           trace: SampleTrace | None = None,
+                           norm_o: float | None = None):
     """mu = (|c|_1^2 * scale / T) * sum of per-sample values.
 
     scale is |h|_1 when the observable itself is sampled term-by-term.
     Returns (mu, (mean, sample_std_of_values)); when `trace` is given, every
-    sample is appended to it.
+    sample is appended to it.  `norm_o` is |O| when the caller has taken it.
 
     An enumerated decomposition (PreparedLcu and its subclasses) with a
     dense observable runs on the chunked counter-hash kernel in either mode.
@@ -412,7 +417,7 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
     scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     if isinstance(prepared, PreparedLcu) and isinstance(o, DenseOperator):
         s, s2 = _enumerated_sums(prepared, psi0, o, t_reps, config.mode,
-                                 stream, trace)
+                                 stream, trace, norm_o)
     else:
         s, s2 = _per_sample_sums(prepared, psi0, o, t_reps, config.mode,
                                  stream, trace)
@@ -424,14 +429,15 @@ def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
 
 def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                      o: DenseOperator, t_reps: int, mode: str, stream,
-                     trace: SampleTrace | None) -> tuple[float, float]:
+                     trace: SampleTrace | None,
+                     norm_o: float | None) -> tuple[float, float]:
     seed, exp_id, phase = stream
     key1 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V1)
     key2 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V2)
     shot = None
     if mode == "shot":
         shot = (_kernels.derive_key(seed, exp_id, phase, _ROLE_SHOT),
-                _shot_scale(o))
+                _shot_scale(o, norm_o))
     sink = None
     if trace is not None:
         costs = prepared.costs
@@ -443,9 +449,11 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                       np.ascontiguousarray(values), costs[j1] + costs[j2])
 
     u = prepared.states(psi0)
-    ou = u @ o.entries.T
+    # O = I (the normalization phase) reads the rows themselves, which
+    # hold the values of their product with I, without a copy
+    ou = u if np.array_equal(o.entries, np.eye(o.dim)) else u @ o.entries.T
     return _kernels.pair_accumulate(u, ou, prepared.probs, key1, key2, t_reps,
-                                    shot=shot, sink=sink)
+                                    shot=shot, sink=sink, table=prepared.table)
 
 
 def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
@@ -473,16 +481,20 @@ def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
 
 def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
                        context=None,
-                       trace: SampleTrace | None = None) -> EstimateReport:
+                       trace: SampleTrace | None = None,
+                       norm_o: float | None = None) -> EstimateReport:
     """Two-phase estimate of Tr[O rho] with rho the normalized f(H)-evolved
     state: phase one measures the numerator, phase two (O = I) the
     normalization; returns their ratio with the Hoeffding repetition counts
     rescaled for the ratio's error budget.  A unit-normalized target skips
-    phase two.  `trace` receives the samples of phase one."""
+    phase two.  `trace` receives the samples of phase one.  `norm_o` is |O|
+    when the caller has taken it; it is then not taken again."""
     prepared = prepare(lcu, context)
-    # |O| enters only the Hoeffding counts and the normalization floor
+    # |O| enters the Hoeffding counts, the normalization floor and the shot
+    # scale
     needs_norm = config.repetitions_override is None or not prepared.unit_normalized
-    norm_o = observable_norm(o) if needs_norm else None
+    if norm_o is None and needs_norm:
+        norm_o = observable_norm(o)
     scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     c1 = prepared.l1_norm
     eps, delta, ell_star = config.epsilon, config.delta, config.ell_star
@@ -495,7 +507,7 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
 
     mu, (_, std) = expectation_observable(
         prepared, psi0, o, t_num, config, context=context, phase=0,
-        trace=trace)
+        trace=trace, norm_o=norm_o)
 
     if prepared.unit_normalized:
         ell_tilde = 1.0

@@ -126,9 +126,14 @@ def time_evolution_state_batch(decomp: LcuDecomposition, h: DenseOperator,
     eigendecomposition."""
     evals, evecs = np.linalg.eigh(h.entries)
     coeffs = evecs.conj().T @ psi0.amplitudes
-    # (M, dim) phase table in the eigenbasis, then rotate back
-    table = np.exp(-1j * np.outer(decomp.durations, evals)) * coeffs[None, :]
-    return decomp.phases[:, None] * (table @ evecs.T)
+    # (M, dim) phase table in the eigenbasis, then rotate back; in place,
+    # so that at most two (M, dim) complex arrays are alive at once
+    table = -1j * np.outer(decomp.durations, evals)
+    np.exp(table, out=table)
+    table *= coeffs[None, :]
+    rows = table @ evecs.T
+    rows *= decomp.phases[:, None]
+    return rows
 
 
 def scalar_function(decomp: LcuDecomposition, xs: np.ndarray) -> np.ndarray:

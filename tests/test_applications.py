@@ -210,6 +210,32 @@ class TestQls:
             assert key in rep.info
 
 
+@pytest.mark.parametrize("mode,calls", [("expectation", 1), ("shot", 2)])
+@pytest.mark.parametrize("app", ["hamsim", "gsp", "qls"])
+def test_observable_norm_taken_once_per_op(app, mode, calls, gsp_problem,
+                                           monkeypatch):
+    # |O| is taken once per op and handed on to the estimator; shot mode
+    # adds only its O^2 = I check
+    z = DenseOperator(Z, hermitian=True, unitary=True)
+    norm, seen = estimator.spectral_norm, []
+
+    def counted(a):
+        seen.append(a)
+        return norm(a)
+
+    monkeypatch.setattr(estimator, "spectral_norm", counted)
+    kw = {"mode": mode, "repetitions_override": 200}
+    if app == "hamsim":
+        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, z,
+                        plus_state(1), 0.2, 0.2, seed=0, **kw)
+    elif app == "gsp":
+        gsp_estimate(gsp_problem[0], ZI, 0.2, 0.2, seed=0, **kw)
+    else:
+        qls_estimate(QlsProblem(parse_pauli_text("0.75*ZZ+0.25*XX"), 2.0,
+                                basis_state(2, 1)), ZI, 0.3, 0.2, seed=0, **kw)
+    assert len(seen) == calls
+
+
 def _clear_caches():
     for cache in (applications._cached_prepared,
                   applications._cached_product,

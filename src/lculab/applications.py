@@ -9,10 +9,7 @@ import math
 import weakref
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core_algebra import (
-    DenseOperator,
     PauliHamiltonian,
     PauliString,
     StateVector,
@@ -161,12 +158,7 @@ def hamsim_estimate(h: PauliHamiltonian, t: float, o, psi0: StateVector,
     exactly and `trace` receives no samples."""
     norm_o = observable_norm(o)
     if t == 0:
-        if isinstance(o, DenseOperator):
-            val = expectation(psi0, o)
-        else:
-            val = sum(w * float(np.real(np.vdot(psi0.amplitudes,
-                                                u.entries @ psi0.amplitudes)))
-                      for w, u in o.terms)
+        val = expectation(psi0, o)
         return EstimateReport(mu=val, ell_tilde=1.0, ratio=val, t_used=1,
                               tau_max=0.0, avg_cost=0.0, empirical_std=0.0,
                               seed=seed, info={"t": 0.0, "r": 0, "K": 0})

@@ -184,26 +184,6 @@ class PauliHamiltonian:
         return 2 ** self.n_qubits
 
 
-@dataclass(frozen=True)
-class ObservableLcu:
-    """Observable expressed as a weighted sum of unit-norm unitaries."""
-
-    terms: tuple
-    h1_norm: float = field(init=False)
-
-    def __post_init__(self):
-        terms = tuple((float(w), u) for w, u in self.terms)
-        for _, u in terms:
-            if not isinstance(u, DenseOperator) or not u.unitary:
-                raise ValueError("observable terms must be unitary-flagged DenseOperators")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "h1_norm", float(sum(abs(w) for w, _ in terms)))
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0][1].dim
-
-
 def ham_to_dense(h: PauliHamiltonian) -> DenseOperator:
     if not h.terms:
         raise ValueError("empty hamiltonian")

@@ -17,7 +17,6 @@ import numpy as np
 from . import _kernels
 from .core_algebra import (
     DenseOperator,
-    ObservableLcu,
     PauliHamiltonian,
     StateVector,
     ham_to_dense,
@@ -38,7 +37,6 @@ ENUMERATED_STATE_CAP = 50_000_000   # max M * dim complex entries in a state bat
 _ROLE_V1 = 1
 _ROLE_V2 = 2
 _ROLE_SHOT = 3
-_ROLE_OBS = 4
 
 
 class NormUnderflowError(RuntimeError):
@@ -83,10 +81,9 @@ class SampleTrace:
     """Per-sample records of one estimate, held as column chunks.
 
     Each chunk is (start, ids, values, costs): samples start, start+1, ...
-    with their term ids as an (n, k) int array (k = 2, or 3 when the
-    observable is sampled too), interference values or shot outcomes, and
-    costs.  Chunks follow each other without gaps from sample 0.  Iterating
-    yields one SampleRecord per sample."""
+    with their term ids (j1, j2) as an (n, 2) int array, interference
+    values or shot outcomes, and costs.  Chunks follow each other without
+    gaps from sample 0.  Iterating yields one SampleRecord per sample."""
 
     def __init__(self):
         self.chunks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -305,11 +302,9 @@ def prepare(lcu, context=None):
 # observable handling
 
 def observable_norm(o) -> float:
-    if isinstance(o, ObservableLcu):
-        return o.h1_norm      # certified upper bound
     if isinstance(o, DenseOperator):
         return spectral_norm(o.entries)
-    raise TypeError("observable must be a DenseOperator or ObservableLcu")
+    raise TypeError("observable must be a DenseOperator")
 
 
 def _shot_scale(o: DenseOperator, norm_o: float | None = None) -> float:
@@ -328,35 +323,23 @@ def _identity_like(dim: int) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # core sampling
 
-def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
-                       index: int = 0, context=None) -> SampleRecord:
+def run_circuit_sample(lcu, psi0: StateVector, o: DenseOperator, mode: str,
+                       stream, index: int = 0, context=None, *,
+                       shot_scale: float | None = None) -> SampleRecord:
     """One pass of the single-ancilla circuit: draw V1, V2 from the
     coefficient distribution and return the interference value (expectation
-    mode) or a +-1 outcome (shot mode).
+    mode) or a +-|O| outcome (shot mode).
 
     `stream` is (master_seed, experiment, phase) for the counter hash.
-    Estimates call this only for implicit products and sampled observables;
-    for enumerated decompositions it is the per-sample reference that the
-    chunked kernel must reproduce.
+    `shot_scale` is |O| for shot mode once the caller has checked O^2 = I;
+    without it, every call checks O and takes |O|.  Estimates call this
+    only for implicit products; for enumerated decompositions it is the
+    per-sample reference that the chunked kernel must reproduce.
     """
     prepared = prepare(lcu, context)
     seed, exp_id, phase = stream
     key1 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V1)
     key2 = _kernels.derive_key(seed, exp_id, phase, _ROLE_V2)
-
-    obs = o
-    obs_id = -1
-    if isinstance(o, ObservableLcu):
-        key_o = _kernels.derive_key(seed, exp_id, phase, _ROLE_OBS)
-        hw = np.array([abs(w) for w, _ in o.terms])
-        hp = hw / hw.sum()
-        uo = _kernels.counter_uniforms(key_o, index, 1)[0]
-        obs_id = int(np.searchsorted(np.cumsum(hp), uo, side="right"))
-        obs_id = min(obs_id, len(o.terms) - 1)
-        w, u = o.terms[obs_id]
-        sign = 1.0 if w >= 0 else -1.0
-        obs = DenseOperator(sign * u.entries, unitary=True)
-        # the h1 scale is applied by the caller; per-sample values stay O_j sized
 
     if isinstance(prepared, ProductSampler):
         rng1 = _kernels.make_rng(seed, exp_id, phase, _ROLE_V1, index)
@@ -377,53 +360,48 @@ def run_circuit_sample(lcu, psi0: StateVector, o, mode: str, stream,
         cost = float(prepared.costs[j1] + prepared.costs[j2])
         ids = (j1, j2)
 
-    value = float(np.real(np.vdot(psi2, obs.entries @ psi1)))
+    value = float(np.real(np.vdot(psi2, o.entries @ psi1)))
     if mode == "shot":
-        norm_oj = _shot_scale(obs)
+        if shot_scale is None:
+            shot_scale = _shot_scale(o)
         e = value
         if abs(e) > 1 + 1e-9:
             raise ValueError(f"interference value {e} outside [-1,1]")
         key_s = _kernels.derive_key(seed, exp_id, phase, _ROLE_SHOT)
         us = _kernels.counter_uniforms(key_s, index, 1)[0]
         value = 1.0 if us < (1 + e) / 2 else -1.0
-        value *= norm_oj
-    if obs_id >= 0:
-        ids = ids + (obs_id,)
+        value *= shot_scale
     return SampleRecord(index=index, term_ids=ids, value=value, cost=cost)
 
 
-def expectation_observable(lcu, psi0: StateVector, o, t_reps: int,
-                           config: EstimatorConfig, context=None,
+def expectation_observable(lcu, psi0: StateVector, o: DenseOperator,
+                           t_reps: int, config: EstimatorConfig, context=None,
                            experiment: int = 0, phase: int = 0,
                            trace: SampleTrace | None = None,
                            norm_o: float | None = None):
-    """mu = (|c|_1^2 * scale / T) * sum of per-sample values.
+    """mu = (|c|_1^2 / T) * sum of per-sample values.
 
-    scale is |h|_1 when the observable itself is sampled term-by-term.
     Returns (mu, (mean, sample_std_of_values)); when `trace` is given, every
-    sample is appended to it.  `norm_o` is |O| when the caller has taken it.
+    sample is appended to it.  `norm_o` is |O| when the caller has taken it;
+    shot mode then checks only O^2 = I, once per estimate.
 
-    An enumerated decomposition (PreparedLcu and its subclasses) with a
-    dense observable runs on the chunked counter-hash kernel in either mode.
-    Trace rows are read off the same chunks, so a traced run reports the
-    same values as an untraced one.  Implicit products (ProductSampler) and
-    sampled observables (ObservableLcu) run `run_circuit_sample` once per
-    sample.
+    An enumerated decomposition (PreparedLcu and its subclasses) runs on the
+    chunked counter-hash kernel in either mode.  Trace rows are read off the
+    same chunks, so a traced run reports the same values as an untraced
+    one.  Implicit products (ProductSampler) run `run_circuit_sample` once
+    per sample.
     """
     if t_reps < 1:
         raise ValueError("T must be >= 1")
     prepared = prepare(lcu, context)
     stream = (config.master_seed, experiment, phase)
-    scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
-    if isinstance(prepared, PreparedLcu) and isinstance(o, DenseOperator):
-        s, s2 = _enumerated_sums(prepared, psi0, o, t_reps, config.mode,
-                                 stream, trace, norm_o)
-    else:
-        s, s2 = _per_sample_sums(prepared, psi0, o, t_reps, config.mode,
-                                 stream, trace)
+    sums = (_enumerated_sums if isinstance(prepared, PreparedLcu)
+            else _per_sample_sums)
+    s, s2 = sums(prepared, psi0, o, t_reps, config.mode, stream, trace,
+                 norm_o)
     mean = s / t_reps
     var = max(s2 / t_reps - mean * mean, 0.0)
-    mu = prepared.l1_norm ** 2 * scale * mean
+    mu = prepared.l1_norm ** 2 * mean
     return mu, (mean, math.sqrt(var))
 
 
@@ -456,14 +434,18 @@ def _enumerated_sums(prepared: PreparedLcu, psi0: StateVector,
                                     shot=shot, sink=sink, table=prepared.table)
 
 
-def _per_sample_sums(prepared, psi0: StateVector, o, t_reps: int, mode: str,
-                     stream, trace: SampleTrace | None) -> tuple[float, float]:
+def _per_sample_sums(prepared: ProductSampler, psi0: StateVector,
+                     o: DenseOperator, t_reps: int, mode: str, stream,
+                     trace: SampleTrace | None,
+                     norm_o: float | None) -> tuple[float, float]:
+    scale = _shot_scale(o, norm_o) if mode == "shot" else None
     s = 0.0
     cs = 0.0
     s2 = 0.0
     ids, values, costs = [], [], []
     for i in range(t_reps):
-        rec = run_circuit_sample(prepared, psi0, o, mode, stream, index=i)
+        rec = run_circuit_sample(prepared, psi0, o, mode, stream, index=i,
+                                 shot_scale=scale)
         if trace is not None:
             ids.append(rec.term_ids)
             values.append(rec.value)
@@ -495,7 +477,6 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
     needs_norm = config.repetitions_override is None or not prepared.unit_normalized
     if norm_o is None and needs_norm:
         norm_o = observable_norm(o)
-    scale = o.h1_norm if isinstance(o, ObservableLcu) else 1.0
     c1 = prepared.l1_norm
     eps, delta, ell_star = config.epsilon, config.delta, config.ell_star
 
@@ -525,7 +506,7 @@ def single_ancilla_lcu(lcu, psi0: StateVector, o, config: EstimatorConfig,
     return EstimateReport(
         mu=mu, ell_tilde=ell_tilde, ratio=ratio, t_used=t_used,
         tau_max=prepared.tau_max, avg_cost=prepared.avg_cost,
-        empirical_std=c1 ** 2 * scale * std / math.sqrt(t_num),
+        empirical_std=c1 ** 2 * std / math.sqrt(t_num),
         seed=config.master_seed)
 
 

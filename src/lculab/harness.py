@@ -301,7 +301,8 @@ class RunReport:
 
     def canonical_json(self) -> str:
         """Deterministic form: wall-clock timings excluded so identical
-        configs produce identical text."""
+        configs produce identical text.  Kept as public API: it is the
+        determinism contract the README states."""
         d = self.as_dict()
         d["timings"] = {}
         return dumps_17g(d)
@@ -558,15 +559,15 @@ def trace_csv(records: SampleTrace | None) -> str:
 def trace_csv_slices(records: SampleTrace | None):
     """The text of trace_csv(records) in pieces, header first, then at most
     TRACE_SLICE_ROWS rows a piece.  Each piece is one %-format over the
-    chunk's columns; ids join with '|', floats print at 17 significant
-    digits, and lines end in CRLF, as csv.writer writes them."""
+    chunk's columns; the two ids join with '|', floats print at 17
+    significant digits, and lines end in CRLF, as csv.writer writes them."""
     chunks = records.chunks if records is not None else ()
     for _, _, values, costs in chunks:
         if not (np.isfinite(values).all() and np.isfinite(costs).all()):
             raise ValueError("non-finite float in report")
     yield "index,term_ids,value,cost\r\n"
+    row = "%d,%d|%d,%.17g,%.17g\r\n"
     for start, ids, values, costs in chunks:
-        row = "%d," + "|".join(["%d"] * ids.shape[1]) + ",%.17g,%.17g\r\n"
         for lo in range(0, len(values), TRACE_SLICE_ROWS):
             hi = min(lo + TRACE_SLICE_ROWS, len(values))
             cols = zip(range(start + lo, start + hi), *ids[lo:hi].T.tolist(),

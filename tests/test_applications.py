@@ -15,7 +15,6 @@ from lculab.applications import (
 )
 from lculab.core_algebra import (
     DenseOperator,
-    ObservableLcu,
     StateVector,
     basis_state,
     expectation,
@@ -28,7 +27,6 @@ from lculab.core_algebra import (
 from lculab.estimator import SampleTrace
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 ZI = DenseOperator(np.kron(Z, np.eye(2)), hermitian=True, unitary=True)
 
 
@@ -92,31 +90,6 @@ class TestHamsim:
         t_tilde = h.beta * 2.5
         assert rep.info["r"] == math.ceil(t_tilde ** 2)
         assert rep.tau_max <= rep.info["tau_max_bound"] + 1e-9
-
-    def test_observable_lcu(self):
-        h = parse_pauli_text("0.5*Z+0.3*X")
-        o = ObservableLcu(((0.5, DenseOperator(Z, unitary=True)),
-                           (0.5, DenseOperator(X, unitary=True))))
-        dense_o = DenseOperator(0.5 * Z + 0.5 * X, hermitian=True)
-        psi0 = plus_state(1)
-        exact = _exact_evolved(h, 1.0, dense_o, psi0)
-        rep = hamsim_estimate(h, 1.0, o, psi0, 0.2, 0.1, seed=5,
-                              repetitions_override=60000)
-        assert abs(rep.ratio - exact) <= 0.1
-
-    def test_observable_lcu_std_carries_h1(self):
-        # mu is c1^2 h1 mean(values), so its standard error carries h1 too
-        o = ObservableLcu(((1.5, DenseOperator(Z, unitary=True)),
-                           (-1.5, DenseOperator(X, unitary=True))))
-        trace = SampleTrace()
-        rep = hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
-                              plus_state(1), 0.2, 0.1, seed=7,
-                              repetitions_override=2000, trace=trace)
-        values = np.concatenate([v for _, _, v, _ in trace.chunks])
-        assert o.h1_norm == 3.0 and len(values) == rep.t_used == 2000
-        expected = (rep.info["c1"] ** 2 * o.h1_norm * np.std(values)
-                    / math.sqrt(rep.t_used))
-        assert rep.empirical_std == pytest.approx(expected, rel=1e-12)
 
     def test_one_observable_norm_per_op(self, monkeypatch):
         # hamsim_estimate sizes T from |O|; single_ancilla_lcu, given that T
@@ -210,13 +183,31 @@ class TestQls:
             assert key in rep.info
 
 
+def _estimate(app, gsp_problem, **kw):
+    """One op of `app` with a dense observable; hamsim-unflattened samples
+    its three-qubit Taylor product one sample at a time."""
+    if app == "hamsim":
+        return hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0,
+                               DenseOperator(Z, hermitian=True, unitary=True),
+                               plus_state(1), 0.2, 0.2, seed=0, **kw)
+    if app == "hamsim-unflattened":
+        return hamsim_estimate(
+            parse_pauli_text("0.3*XII+0.4*ZZI+0.2*IXZ+0.1*YYX"), 3.0,
+            DenseOperator(np.kron(Z, np.eye(4)), hermitian=True, unitary=True),
+            basis_state(3, 0), 0.2, 0.2, seed=0, **kw)
+    if app == "gsp":
+        return gsp_estimate(gsp_problem[0], ZI, 0.2, 0.2, seed=0, **kw)
+    return qls_estimate(QlsProblem(parse_pauli_text("0.75*ZZ+0.25*XX"), 2.0,
+                                   basis_state(2, 1)), ZI, 0.3, 0.2, seed=0,
+                        **kw)
+
+
 @pytest.mark.parametrize("mode,calls", [("expectation", 1), ("shot", 2)])
-@pytest.mark.parametrize("app", ["hamsim", "gsp", "qls"])
+@pytest.mark.parametrize("app", ["hamsim", "hamsim-unflattened", "gsp", "qls"])
 def test_observable_norm_taken_once_per_op(app, mode, calls, gsp_problem,
                                            monkeypatch):
     # |O| is taken once per op and handed on to the estimator; shot mode
-    # adds only its O^2 = I check
-    z = DenseOperator(Z, hermitian=True, unitary=True)
+    # adds only its O^2 = I check, once per estimate
     norm, seen = estimator.spectral_norm, []
 
     def counted(a):
@@ -224,16 +215,20 @@ def test_observable_norm_taken_once_per_op(app, mode, calls, gsp_problem,
         return norm(a)
 
     monkeypatch.setattr(estimator, "spectral_norm", counted)
-    kw = {"mode": mode, "repetitions_override": 200}
-    if app == "hamsim":
-        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, z,
-                        plus_state(1), 0.2, 0.2, seed=0, **kw)
-    elif app == "gsp":
-        gsp_estimate(gsp_problem[0], ZI, 0.2, 0.2, seed=0, **kw)
-    else:
-        qls_estimate(QlsProblem(parse_pauli_text("0.75*ZZ+0.25*XX"), 2.0,
-                                basis_state(2, 1)), ZI, 0.3, 0.2, seed=0, **kw)
+    _estimate(app, gsp_problem, mode=mode, repetitions_override=200)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("app", ["hamsim", "hamsim-unflattened", "gsp"])
+def test_empirical_std_is_standard_error(app, gsp_problem):
+    # mu is c1^2 mean(values), so its standard error is c1^2 times the
+    # standard deviation of the traced phase-one values over sqrt(T)
+    trace = SampleTrace()
+    rep = _estimate(app, gsp_problem, repetitions_override=300, trace=trace)
+    assert rep.info.get("flattened", True) == (app != "hamsim-unflattened")
+    values = np.concatenate([v for _, _, v, _ in trace.chunks])
+    expected = rep.info["c1"] ** 2 * np.std(values) / math.sqrt(len(trace))
+    assert rep.empirical_std == pytest.approx(expected, rel=1e-12)
 
 
 def _clear_caches():

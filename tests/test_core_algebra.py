@@ -14,7 +14,6 @@ from algebra_oracle import (
 )
 from lculab.core_algebra import (
     DenseOperator,
-    ObservableLcu,
     PauliHamiltonian,
     PauliString,
     StateVector,
@@ -138,17 +137,6 @@ class TestPauliHamiltonian:
         with pytest.raises(ValueError):
             PauliHamiltonian(((1.0, PauliString("X")),
                               (1.0, PauliString("XX"))))
-
-
-class TestObservableLcu:
-    def test_h1_norm(self):
-        o = ObservableLcu(((0.3, DenseOperator(X, unitary=True)),
-                           (-0.2, DenseOperator(Z, unitary=True))))
-        assert o.h1_norm == 0.5
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            ObservableLcu(((1.0, DenseOperator(2 * np.eye(2))),))
 
 
 class TestMatrixFunction:

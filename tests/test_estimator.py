@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from lculab._kernels import make_rng
 from lculab.core_algebra import (
     DenseOperator,
-    ObservableLcu,
     StateVector,
     basis_state,
     expectation,
@@ -163,14 +162,6 @@ class TestRunCircuitSample:
             run_circuit_sample(_identity_lcu(), basis_state(1, 0), o,
                                "shot", (0, 0, 0),
                                context=DenseOperator(Z, hermitian=True))
-
-    def test_observable_lcu_sampling(self):
-        o = ObservableLcu(((0.5, DenseOperator(Z, unitary=True)),
-                           (0.5, DenseOperator(X, unitary=True))))
-        h = DenseOperator(Z, hermitian=True)
-        rec = run_circuit_sample(_identity_lcu(), basis_state(1, 0), o,
-                                 "expectation", (6, 0, 0), context=h)
-        assert rec.value in (pytest.approx(1.0), pytest.approx(0.0))
 
 
 class TestEnumerationUnbiasedness:

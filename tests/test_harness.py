@@ -9,13 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lculab import __version__, cli
-from lculab.applications import hamsim_estimate
-from lculab.core_algebra import (
-    DenseOperator,
-    ObservableLcu,
-    parse_pauli_text,
-    plus_state,
-)
 from lculab.estimator import SampleTrace
 from lculab.harness import (
     ConfigError,
@@ -357,9 +350,11 @@ class TestTraceCsv:
         text = trace_csv(records)
         assert len(records) == report.results["trace_rows"]
         assert text == reference_trace_csv(records)
-        ids = text.splitlines()[1].split(",")[1]
+        assert all(ids.shape[1] == 2 for _, ids, _, _ in records.chunks)
+        term_ids = [line.split(",")[1] for line in text.splitlines()[1:]]
+        assert all(t.count("|") == 1 for t in term_ids)
         unflat = report.results["info"].get("flattened") is False
-        assert (ids == "-1|-1") == unflat
+        assert (term_ids[0] == "-1|-1") == unflat
 
     def test_chunk_and_slice_boundaries(self, monkeypatch):
         from lculab import _kernels, harness
@@ -372,21 +367,6 @@ class TestTraceCsv:
         pieces = list(trace_csv_slices(chunked))
         assert max(p.count("\n") for p in pieces) == 300
         assert "".join(pieces) == trace_csv(whole) == reference_trace_csv(whole)
-
-    def test_observable_lcu_rows_carry_three_ids(self):
-        o = ObservableLcu(((0.5, DenseOperator(np.diag([1.0, -1.0]),
-                                               unitary=True)),
-                           (0.5, DenseOperator(np.array([[0.0, 1.0],
-                                                         [1.0, 0.0]]),
-                                               unitary=True))))
-        records = SampleTrace()
-        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
-                        plus_state(1), 0.2, 0.1, seed=5,
-                        repetitions_override=300, trace=records)
-        text = trace_csv(records)
-        assert text == reference_trace_csv(records)
-        assert all(line.split(",")[1].count("|") == 2
-                   for line in text.splitlines()[1:])
 
     @pytest.mark.parametrize("column", ["value", "cost"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lculab import __version__, cli
+from lculab.applications import hamsim_estimate
+from lculab.core_algebra import DenseOperator, parse_pauli_text, plus_state
 from lculab.estimator import SampleTrace
 from lculab.harness import (
     ConfigError,
@@ -367,6 +369,20 @@ class TestTraceCsv:
         pieces = list(trace_csv_slices(chunked))
         assert max(p.count("\n") for p in pieces) == 300
         assert "".join(pieces) == trace_csv(whole) == reference_trace_csv(whole)
+
+    def test_dense_observable_rows_carry_two_ids(self):
+        # a two-term observable, 0.5*Z + 0.5*X, given as one dense matrix:
+        # every row names the two drawn term ids and nothing more
+        o = DenseOperator(np.array([[0.5, 0.5], [0.5, -0.5]]), hermitian=True)
+        records = SampleTrace()
+        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
+                        plus_state(1), 0.2, 0.1, seed=5,
+                        repetitions_override=300, trace=records)
+        text = trace_csv(records)
+        assert len(records) == 300
+        assert text == reference_trace_csv(records)
+        assert all(line.split(",")[1].count("|") == 1
+                   for line in text.splitlines()[1:])
 
     @pytest.mark.parametrize("column", ["value", "cost"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

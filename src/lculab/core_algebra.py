@@ -19,13 +19,6 @@ RECONSTRUCTION_TOL = 1e-10
 NORMALIZATION_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-12
 
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _VALID_PHASES = (1, -1, 1j, -1j)
 
 
@@ -113,48 +106,43 @@ def plus_state(n_qubits: int) -> StateVector:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-qubit Paulis with a phase in {1, -1, i, -i}."""
+    """Tensor product of single-qubit Paulis with a phase in {1, -1, i, -i}.
+
+    Stored as a signed permutation, in the binary (x, z) form of Aaronson
+    and Gottesman (quant-ph/0406196): P|j> = diag[j] |j ^ x>.  `x` is the
+    X/Y bit mask, qubit 0 its most significant bit, and
+    diag[j] = phase * i^{#Y} * (-1)^{popcount(j & z)}, z the Z/Y mask.
+    Both are computed once, read-only, and left out of equality and repr.
+    """
 
     symbols: str
     phase: complex = 1
+    x: int = field(init=False, repr=False, compare=False)
+    diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols or any(s not in "IXYZ" for s in self.symbols):
             raise ValueError(f"invalid pauli symbols {self.symbols!r}")
         if self.phase not in _VALID_PHASES:
             raise ValueError(f"invalid phase {self.phase!r}")
+        x = int(self.symbols.translate(str.maketrans("IXYZ", "0110")), 2)
+        z = int(self.symbols.translate(str.maketrans("IXYZ", "0011")), 2)
+        w = self.phase * 1j ** self.symbols.count("Y")
+        odd = np.bitwise_count(np.arange(2 ** len(self.symbols)) & z) & 1
+        diag = np.where(odd, -w, w)
+        diag.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "diag", diag)
 
     @property
     def n_qubits(self) -> int:
         return len(self.symbols)
 
 
-def pauli_to_dense(p: PauliString) -> DenseOperator:
-    m = np.array([[1.0]], dtype=complex)
-    for s in p.symbols:
-        m = np.kron(m, _PAULI_MATRICES[s])
-    m = p.phase * m
-    return DenseOperator(m, hermitian=p.phase in (1, -1), unitary=True)
-
-
 def pauli_apply(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string to raw amplitudes without building the matrix."""
-    out = amplitudes
-    n = len(p.symbols)
-    for q, s in enumerate(p.symbols):
-        if s == "I":
-            continue
-        out = out.reshape(2 ** q, 2, 2 ** (n - q - 1))
-        if s == "X":
-            out = out[:, ::-1, :]
-        elif s == "Y":
-            out = out[:, ::-1, :] * np.array([-1j, 1j]).reshape(1, 2, 1)
-        else:  # Z
-            out = out * np.array([1.0, -1.0]).reshape(1, 2, 1)
-    out = out.reshape(-1)
-    if p.phase != 1:
-        out = p.phase * out
-    return out
+    """Apply a Pauli string to raw amplitudes without building the matrix:
+    (P psi)[k] = diag[k ^ x] psi[k ^ x], one gather."""
+    return (p.diag * amplitudes)[np.arange(len(p.diag)) ^ p.x]
 
 
 @dataclass(frozen=True)
@@ -185,11 +173,15 @@ class PauliHamiltonian:
 
 
 def ham_to_dense(h: PauliHamiltonian) -> DenseOperator:
+    """The dense matrix of sum_l c_l P_l: each term scatters its dim
+    nonzeros, c diag[j] at (j ^ x, j), in term order, and the sum takes one
+    hermitian check."""
     if not h.terms:
         raise ValueError("empty hamiltonian")
     m = np.zeros((h.dim, h.dim), dtype=complex)
+    cols = np.arange(h.dim)
     for c, p in h.terms:
-        m += c * pauli_to_dense(p).entries
+        m[cols ^ p.x, cols] += c * p.diag
     return DenseOperator(m, hermitian=True)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,7 +157,7 @@ class PreparedLcu:
         self.costs.setflags(write=False)
         self.table = _kernels.GuideTable(self.probs)
         self.tau_max = float(costs.max()) if len(costs) else 0.0
-        self.avg_cost = float(self.probs @ costs)
+        self.avg_cost = left_to_right_sum(self.probs * costs)
         self._batch_cache: tuple | None = None   # (amplitude bytes, rows)
 
     @property
@@ -316,7 +317,9 @@ def _shot_scale(o: DenseOperator, norm_o: float | None = None) -> float:
     return spectral_norm(o.entries) if norm_o is None else norm_o
 
 
+@lru_cache
 def _identity_like(dim: int) -> DenseOperator:
+    """The checked identity, built once per dim; its entries are read-only."""
     return DenseOperator(np.eye(dim), hermitian=True, unitary=True)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from ._kernels import derive_key
 from .analog import (
-    ConvergenceError,
     analog_gsp,
     analog_qls_gaussian,
     analog_qls_ring,
@@ -39,7 +38,7 @@ from .core_algebra import (
     parse_pauli_text,
     plus_state,
 )
-from .estimator import NormUnderflowError, SampleTrace
+from .estimator import SampleTrace
 from .lcu_decomp import (
     gaussian_lcu,
     inverse_lcu,

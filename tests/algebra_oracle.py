@@ -1,10 +1,18 @@
 """References for the tests of `lculab.core_algebra`: tensor products of
-operators and states, the adjoint, the symbol-wise Pauli commutation rule,
-and the text form of a Pauli Hamiltonian that `parse_pauli_text` reads."""
+operators and states, the adjoint, the kron-chain matrix of a Pauli string,
+the symbol-wise Pauli commutation rule, and the text form of a Pauli
+Hamiltonian that `parse_pauli_text` reads."""
 
 import numpy as np
 
 from lculab.core_algebra import DenseOperator, PauliHamiltonian, PauliString, StateVector
+
+_PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
@@ -22,6 +30,24 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
 def dagger(a: DenseOperator) -> DenseOperator:
     return DenseOperator(a.entries.conj().T,
                          hermitian=a.hermitian, unitary=a.unitary)
+
+
+def pauli_to_dense(p: PauliString) -> DenseOperator:
+    """The matrix of P as phase times the kron chain of its symbols."""
+    m = np.array([[1.0]], dtype=complex)
+    for s in p.symbols:
+        m = np.kron(m, _PAULI_MATRICES[s])
+    m = p.phase * m
+    return DenseOperator(m, hermitian=p.phase in (1, -1), unitary=True)
+
+
+def ham_to_dense_kron(h: PauliHamiltonian) -> np.ndarray:
+    """sum_l c_l P_l with each P_l from the kron chain, summed in term
+    order from a zero matrix."""
+    m = np.zeros((h.dim, h.dim), dtype=complex)
+    for c, p in h.terms:
+        m += c * pauli_to_dense(p).entries
+    return m
 
 
 def commutes_with(a: PauliString, b: PauliString) -> bool:

@@ -91,21 +91,6 @@ class TestHamsim:
         assert rep.info["r"] == math.ceil(t_tilde ** 2)
         assert rep.tau_max <= rep.info["tau_max_bound"] + 1e-9
 
-    def test_one_observable_norm_per_op(self, monkeypatch):
-        # hamsim_estimate sizes T from |O|; single_ancilla_lcu, given that T
-        # and a unitary target, has no use for a second SVD of O
-        o = DenseOperator(Z, hermitian=True)
-        norm, calls = estimator.spectral_norm, []
-
-        def counted(a):
-            calls.append(a is o.entries)
-            return norm(a)
-
-        monkeypatch.setattr(estimator, "spectral_norm", counted)
-        hamsim_estimate(parse_pauli_text("0.5*Z+0.3*X"), 1.0, o,
-                        plus_state(1), 0.2, 0.2, seed=0)
-        assert sum(calls) == 1
-
     def test_determinism(self):
         h = parse_pauli_text("0.5*Z+0.3*X")
         args = (h, 1.0, DenseOperator(Z, hermitian=True), plus_state(1),

@@ -9,9 +9,12 @@ from algebra_oracle import (
     commutes_with,
     dagger,
     format_pauli_text,
+    ham_to_dense_kron,
+    pauli_to_dense,
     tensor,
     tensor_state,
 )
+from lculab import core_algebra
 from lculab.core_algebra import (
     DenseOperator,
     PauliHamiltonian,
@@ -23,7 +26,6 @@ from lculab.core_algebra import (
     matrix_function,
     parse_pauli_text,
     pauli_apply,
-    pauli_to_dense,
     plus_state,
     spectral_norm,
 )
@@ -100,13 +102,37 @@ class TestPauliString:
                 dense_commutes = np.allclose(ma @ mb, mb @ ma)
                 assert commutes_with(pa, pb) == dense_commutes
 
-    def test_pauli_apply_matches_dense(self):
-        rng = np.random.default_rng(0)
-        for sym in ("XYZ", "IZI", "YYX"):
-            p = PauliString(sym, phase=-1j)
-            v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            assert np.allclose(pauli_apply(p, v),
-                               pauli_to_dense(p).entries @ v)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                  st.sampled_from((1, -1, 1j, -1j)),
+                  st.floats(min_value=-10, max_value=10, allow_nan=False)),
+        min_size=1, max_size=5)), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_pauli_apply_matches_dense(self, terms, seed):
+        # the signed-permutation masks reproduce the kron chain exactly:
+        # pauli_apply against the dense product, ham_to_dense against the
+        # per-term kron sum in term order
+        dim = 2 ** len(terms[0][0])
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for sym, phase, _ in terms:
+            p = PauliString(sym, phase)
+            assert pauli_apply(p, v).tobytes() \
+                == (pauli_to_dense(p).entries @ v).tobytes()
+        real = tuple((c, PauliString(sym, phase))
+                     for sym, phase, c in terms if phase in (1, -1))
+        if real:
+            h = PauliHamiltonian(real)
+            assert ham_to_dense(h).entries.tobytes() \
+                == ham_to_dense_kron(h).tobytes()
+
+    def test_masks_are_read_only_and_outside_equality(self):
+        p = PauliString("XYZ", -1j)
+        assert p.x == 0b110
+        assert not p.diag.flags.writeable
+        assert p == PauliString("XYZ", -1j)
+        assert hash(p) == hash(PauliString("XYZ", -1j))
+        assert repr(PauliString("XZ")) == "PauliString(symbols='XZ', phase=1)"
 
 
 class TestPauliHamiltonian:
@@ -128,6 +154,17 @@ class TestPauliHamiltonian:
     def test_zero_coefficient(self):
         h = PauliHamiltonian(((0.0, PauliString("Z")),))
         assert np.allclose(ham_to_dense(h).entries, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("text", ["0.5*Z", "0.5*XZ+0.25*ZI-0.1*YY",
+                                      "0.3*XII+0.4*ZZI+0.2*IXZ+0.1*YYX"])
+    def test_one_hermitian_check_per_sum(self, text, monkeypatch):
+        # the terms build no checked operator of their own: two SVDs for the
+        # hermitian check of the sum, whatever the term count
+        norm, calls = core_algebra.spectral_norm, []
+        monkeypatch.setattr(core_algebra, "spectral_norm",
+                            lambda a: calls.append(1) or norm(a))
+        ham_to_dense(parse_pauli_text(text))
+        assert len(calls) == 2
 
     def test_spectral_norm_below_beta(self):
         h = parse_pauli_text("0.5*XZ+0.25*ZI-0.1*YY")

@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lculab
 from lculab import __version__, cli
 from lculab.applications import hamsim_estimate
 from lculab.core_algebra import DenseOperator, parse_pauli_text, plus_state
@@ -424,9 +429,9 @@ class TestTraceCsv:
 
 
 # canonical reports as lculab 0.2.0 wrote them, one per estimator path and
-# decomposition kind: a refactor of the decompositions or the estimator must
-# keep every draw and every reported value bit-identical (the version field
-# is compared apart)
+# decomposition kind, with avg_cost as 0.7.1 sums it in fixed order: a
+# refactor of the decompositions or the estimator must keep every draw and
+# every reported value bit-identical (the version field is compared apart)
 README_GSP = {"hamiltonian": "0.5*II-0.5*ZZ+0.1*XI", "observable": "1.0*ZI",
               "gap": "1.0", "eta": "0.7", "e0": "-0.0099", "eg": "0.01",
               "state": "basis:0", "seed": "3"}
@@ -444,7 +449,7 @@ REPORT_GOLDEN = {
         '"results": {"mu": 2.2001092947009608, '
         '"ell_tilde": 2.8772650897796406, "ratio": 0.76465296941737804, '
         '"T_used": 4000, "tau_max": 36.767104344048278, '
-        '"avg_cost": 5.4560851486214927, '
+        '"avg_cost": 5.4560851486214954, '
         '"empirical_std": 0.51002471442540287, "seed": 3, '
         '"info": {"gamma": 0.0055555555555555558, "J": 1748, "K": 10, '
         '"tau_max_formula": 36.788150196563471, '
@@ -462,7 +467,7 @@ REPORT_GOLDEN = {
         '"trace": false}, "results": {"mu": 0.97047670842848799, '
         '"ell_tilde": 0.98915922399498646, "ratio": 0.98111273178948477, '
         '"T_used": 2000, "tau_max": 12.051482666191799, '
-        '"avg_cost": 2.5716817296763468, '
+        '"avg_cost": 2.5716817296763472, '
         '"empirical_std": 0.00063673397450460245, "seed": 3, '
         '"info": {"t": 5.216926697975147, '
         '"gamma": 0.0016333333333333332, "M": 27, '
@@ -483,7 +488,7 @@ REPORT_GOLDEN = {
         '"results": {"mu": 0.97971988784041875, '
         '"ell_tilde": 0.98921154587326243, "ratio": 0.99040482486032388, '
         '"T_used": 400, "tau_max": 12.051482666191799, '
-        '"avg_cost": 2.5716817296763468, '
+        '"avg_cost": 2.5716817296763472, '
         '"empirical_std": 0.014067225312670862, "seed": 3, '
         '"info": {"t": 5.216926697975147, '
         '"gamma": 0.0016333333333333332, "M": 27, '
@@ -503,7 +508,7 @@ REPORT_GOLDEN = {
         '"observable": "1.0*Z", "seed": 1, "state": "zero", "t": 1, '
         '"trace": false}, "results": {"mu": 0.82030893186120446, '
         '"ell_tilde": 1, "ratio": 0.82030893186120446, "T_used": 56995, '
-        '"tau_max": 5, "avg_cost": 1.366697009073826, '
+        '"tau_max": 5, "avg_cost": 1.3666970090738273, '
         '"empirical_std": 0.0055284671934804535, "seed": 1, '
         '"info": {"r": 1, "K": 4, "c1": 1.4823383494032227, '
         '"gamma": 0.0083333333333333332, "tau_max_bound": 5, '
@@ -572,6 +577,26 @@ class TestReportGolden:
         got = run(parse_config(sub, dict(flags))).canonical_json()
         assert json.loads(got)["version"] == __version__
         assert _without_version(got) == _without_version(expected)
+
+    def test_canonical_reports_on_one_blas_thread(self):
+        # BLAS may split a long dot product across its threads; no report
+        # value may depend on how many it has
+        script = ("import json, sys\n"
+                  "from lculab.harness import parse_config, run\n"
+                  "for sub, flags in json.load(sys.stdin):\n"
+                  "    print(run(parse_config(sub, flags)).canonical_json())\n")
+        src = str(Path(lculab.__file__).resolve().parent.parent)
+        env = {**os.environ, "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        cases = [(sub, flags) for sub, flags, _ in REPORT_GOLDEN.values()]
+        out = subprocess.run([sys.executable, "-c", script],
+                             input=json.dumps(cases), env=env, text=True,
+                             capture_output=True, check=True, timeout=60)
+        for (_, _, expected), got in zip(REPORT_GOLDEN.values(),
+                                         out.stdout.splitlines(), strict=True):
+            assert _without_version(got) == _without_version(expected)
 
     def test_qls_trace_head(self):
         from lculab.harness import run_with_records

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,31 +109,35 @@ def plus_state(n_qubits: int) -> StateVector:
 class PauliString:
     """Tensor product of single-qubit Paulis with a phase in {1, -1, i, -i}.
 
-    Stored as a signed permutation, in the binary (x, z) form of Aaronson
-    and Gottesman (quant-ph/0406196): P|j> = diag[j] |j ^ x>.  `x` is the
-    X/Y bit mask, qubit 0 its most significant bit, and
-    diag[j] = phase * i^{#Y} * (-1)^{popcount(j & z)}, z the Z/Y mask.
-    Both are computed once, read-only, and left out of equality and repr.
+    Read as a signed permutation, in the binary (x, z) form of Aaronson and
+    Gottesman (quant-ph/0406196): P|j> = diag[j] |j ^ x>, with x the X/Y bit
+    mask (qubit 0 its most significant bit) and diag[j] = phase * i^{#Y} *
+    (-1)^{popcount(j & z)}, z the Z/Y mask.  Both are cached on first use,
+    read-only, and outside equality, hashing and repr.
     """
 
     symbols: str
     phase: complex = 1
-    x: int = field(init=False, repr=False, compare=False)
-    diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols or any(s not in "IXYZ" for s in self.symbols):
             raise ValueError(f"invalid pauli symbols {self.symbols!r}")
         if self.phase not in _VALID_PHASES:
             raise ValueError(f"invalid phase {self.phase!r}")
-        x = int(self.symbols.translate(str.maketrans("IXYZ", "0110")), 2)
-        z = int(self.symbols.translate(str.maketrans("IXYZ", "0011")), 2)
+
+    @cached_property
+    def x(self) -> int:
+        return int(self.symbols.translate(str.maketrans("IXYZ", "0110")), 2)
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        j = np.arange(2 ** self.n_qubits)
+        # the low bit of sum_{b in z} (j >> b) is the parity of j & z
+        shifted = (j >> b for b, s in enumerate(self.symbols[::-1]) if s in "YZ")
         w = self.phase * 1j ** self.symbols.count("Y")
-        odd = np.bitwise_count(np.arange(2 ** len(self.symbols)) & z) & 1
-        diag = np.where(odd, -w, w)
+        diag = np.where(sum(shifted, 0 * j) & 1, -w, w)
         diag.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "diag", diag)
+        return diag
 
     @property
     def n_qubits(self) -> int:

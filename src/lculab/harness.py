@@ -46,7 +46,6 @@ from .lcu_decomp import (
 )
 from .walks import (
     SearchConfig,
-    _SearchSchedule,
     chain_from_edgelist,
     complete_chain,
     cycle_chain,
@@ -461,12 +460,11 @@ def _run_walks_search(p: dict) -> dict:
     if algo not in (1, 2):
         raise ConfigError("algo must be 1 or 2")
     scfg = SearchConfig(c_t=p["c_t"], master_seed=p["seed"])
-    sch = _SearchSchedule(chain, marked, scfg, algo)
-    outcomes = run_search_trials(chain, marked, scfg, p["trials"], algo)
-    emp = sum(o.found for o in outcomes) / len(outcomes)
+    trials = run_search_trials(chain, marked, scfg, p["trials"], algo)
+    emp = np.count_nonzero(trials.found) / len(trials.found)
     oracle = predicted_search_success(chain, marked, scfg, algo)
     slack = theorem1_slack(chain, marked, scfg, algo)
-    return {"HT": sch.ht, "T": sch.big_t, "empirical_success": emp,
+    return {"HT": trials.ht, "T": trials.big_t, "empirical_success": emp,
             "oracle_success": oracle, "theorem1_slack": slack,
             "trials": p["trials"], "algo": algo}
 

@@ -11,7 +11,9 @@ Trials, the exact oracle and the Theorem-1 slack read two tables of one
 search schedule: the Chebyshev table, whose row x is the truncated
 Chebyshev mixture over walk powers of the monomial of degree x, and per
 interpolation value s a table of the node marginals of W(s)^e A|sqrt(pi_U)>,
-one row per power.  tests/walk_oracle.py keeps the state-level references."""
+one row per power.  Trials are drawn together from the counter hash, one
+stream per role, so trial i is a pure function of (seed, algo, i).
+tests/walk_oracle.py keeps the state-level references."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._kernels import make_rng
+from ._kernels import counter_uniforms, derive_key
 from .core_algebra import UNITARY_TOL, DenseOperator, StateVector
 
 MAX_NODES = 64
@@ -206,15 +208,6 @@ def _poisson(t: float, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SearchOutcome:
-    found: bool
-    node: int
-    s_used: float
-    t_used: float
-    walk_steps_applied: int
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     c_t: float = 1.0          # multiplier on the hitting time for T
     master_seed: int = 0
@@ -350,36 +343,74 @@ def _drift_weight(dmat: np.ndarray, marked_idx: list[int],
     return float(np.sum(np.abs(vec) ** 2))
 
 
-def _run_search(sch: _SearchSchedule, rng) -> SearchOutcome:
-    t = int(rng.integers(0, int(sch.big_t) + 1))
-    r = int(sch.r_set[rng.integers(0, len(sch.r_set))])
-    s = 1.0 - 1.0 / r
+@dataclass(frozen=True)
+class SearchTrials:
+    """One call's trials as read-only columns, trial i at entry i, with HT
+    and T of their schedule; `steps` is the walk power, 0 if pre-measured."""
+    found: np.ndarray
+    node: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    steps: np.ndarray
+    ht: float
+    big_t: float
 
-    # step 5: measure the node register of |0>|sqrt(pi)> against Pi_M
-    if rng.random() < sch.pi_m:
-        probs = np.array([sch.chain.pi[m] for m in sch.marked_idx]) / sch.pi_m
-        node = int(rng.choice(sch.marked_idx, p=probs))
-        return SearchOutcome(True, node, s, t, 0)
 
-    if sch.algo == 1:
-        x = t
-    else:
-        x = int(rng.choice(np.arange(sch.d + 1), p=_poisson(t, sch.d)))
-    row = sch.cheb[x]
-    steps = 2 * int(rng.choice(len(row), p=row)) + x % 2
-    node_probs = sch.table(s)[steps]
-    node = int(rng.choice(sch.chain.n, p=node_probs / node_probs.sum()))
-    return SearchOutcome(node in sch.marked, node, s, t, steps)
+def _row_search(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exact inverse-CDF draws: for each i, how many entries of the running
+    sum cum[rows[i]] are at most u[i] times its total, by binary lifting
+    over all i at once.  As u < 1, the entry drawn has a nonzero weight."""
+    v, n = u * cum[rows, -1], np.zeros(len(u), dtype=np.intp)
+    for k in reversed(range((cum.shape[1] - 1).bit_length())):
+        m = np.minimum(n + (1 << k), cum.shape[1] - 1)
+        n = np.where(cum[rows, m - 1] <= v, m, n)
+    return n
+
+
+def _poisson_draws(sch: _SearchSchedule, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x from the Poisson(t) weights truncated at d, by an exact inverse CDF
+    per distinct t over the rows of `cheb`, past which each weight is 0."""
+    j = np.arange(len(sch.cheb))
+    log_fact = gammaln(j + 1)
+    x = t.copy()                               # Poisson(0) puts all on x = 0
+    for tv in np.unique(t[t > 0]).tolist():
+        at = np.flatnonzero(t == tv)
+        cum = np.cumsum(np.exp(-tv + j * np.log(tv) - log_fact))
+        x[at] = np.searchsorted(cum, u[at] * cum[-1], side="right")
+    return x
 
 
 def run_search_trials(c: MarkovChain, marked, config: SearchConfig,
-                      n_trials: int, algo: int) -> list[SearchOutcome]:
-    """Independent search trials on one schedule: the hitting time is solved
-    once, and each trial reads the node-marginal table of its (few)
-    distinct interpolation values, so repeated trials take no walk step."""
-    rng = make_rng(config.master_seed, 40 + algo)
+                      n_trials: int, algo: int) -> SearchTrials:
+    """Search trials on one schedule, drawn together: trial i reads entry i
+    of each role's counter-hash uniforms, so the first k trials of a call
+    are a k-trial call.  No trial takes a walk step."""
     sch = _SearchSchedule(c, marked, config, algo)
-    return [_run_search(sch, rng) for _ in range(n_trials)]
+    u_t, u_r, u_pre, u_mark, u_x, u_e, u_node = (
+        counter_uniforms(derive_key(config.master_seed, 40 + algo, role),
+                         0, n_trials) for role in range(7))
+    t = (u_t * (int(sch.big_t) + 1)).astype(np.intp)
+    r_at = (u_r * len(sch.r_set)).astype(np.intp)
+    # step 5: measure the node register of |0>|sqrt(pi)> against Pi_M; a
+    # trial that finds the marked set draws its node by pi and stops.  With
+    # every node marked, pi_M may round below 1, but no trial walks.
+    marked_idx = np.array(sch.marked_idx)
+    cum = np.cumsum(sch.chain.pi[marked_idx])
+    node = marked_idx[np.searchsorted(cum, u_mark * cum[-1], side="right")]
+    walk = np.flatnonzero((u_pre >= sch.pi_m) & sch.sqrt_pi_u.any())
+    x = t[walk] if algo == 1 else _poisson_draws(sch, t[walk], u_x[walk])
+    steps = np.zeros(n_trials, dtype=np.intp)
+    steps[walk] = 2 * _row_search(np.cumsum(sch.cheb, axis=1), x, u_e[walk]) + x % 2
+    for k, r in enumerate(sch.r_set):
+        at = walk[r_at[walk] == k]
+        if at.size:
+            cum = np.cumsum(sch.table(1.0 - 1.0 / r), axis=1)
+            node[at] = _row_search(cum, steps[at], u_node[at])
+    s = 1.0 - 1.0 / np.array(sch.r_set, dtype=float)[r_at]
+    columns = (np.isin(node, marked_idx), node, s, t, steps)
+    for column in columns:
+        column.setflags(write=False)
+    return SearchTrials(*columns, sch.ht, sch.big_t)
 
 
 def predicted_search_success(c: MarkovChain, marked, config: SearchConfig,

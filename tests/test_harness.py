@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lculab
-from lculab import __version__, cli
+from lculab import __version__, cli, walks
 from lculab.applications import hamsim_estimate
 from lculab.core_algebra import DenseOperator, parse_pauli_text, plus_state
 from lculab.estimator import SampleTrace
@@ -32,6 +32,22 @@ from lculab.harness import (
 from trace_oracle import reference_trace_csv
 
 SCHEMA = json.load(open("docs/report_schema.json"))
+
+
+def walks_golden_flags(graph: str, algo: str) -> dict:
+    return {"graph": graph, "marked": "0", "algo": algo, "seed": "3",
+            "trials": "60"}
+
+
+def assert_walks_golden(got_text: str, want_text: str) -> None:
+    """A walks-search report equals its golden apart from `version`, with
+    the oracle values of the dense walk matched to rounding."""
+    got = json.loads(_without_version(got_text))
+    want = json.loads(_without_version(want_text))
+    for key in ("oracle_success", "theorem1_slack"):
+        assert abs(got["results"].pop(key) - want["results"].pop(key)) \
+            <= 1e-14
+    assert got == want
 
 
 def _without_version(text: str) -> str:
@@ -169,9 +185,10 @@ class TestRunReports:
         assert r["theorem1_slack"] >= 0
         validate_report(json.loads(rep.to_json()), SCHEMA)
 
-    # canonical reports as lculab 0.2.0 wrote them with the dense walk.  The
-    # matrix-free walk of 0.3.0 keeps the draws and every other field exact;
-    # the two oracle values come from walk states that agree to rounding.
+    # canonical reports as lculab 0.2.0 wrote them with the dense walk, with
+    # empirical_success as the counter-hash trials of 0.8.0 draw it.  The
+    # matrix-free walk of 0.3.0 keeps every other field exact; the two
+    # oracle values come from walk states that agree to rounding.
     WALKS_GOLDEN = {
         ("cycle:6", "1"): (
             '{"config": {"subcommand": "walks-search", "algo": 1, '
@@ -179,7 +196,7 @@ class TestRunReports:
             '"eps": 0.10000000000000001, "graph": "cycle:6", '
             '"marked": "0", "mode": "expectation", "seed": 3, '
             '"trace": false, "trials": 60}, "results": {"HT": 14, "T": 14, '
-            '"empirical_success": 0.26666666666666666, '
+            '"empirical_success": 0.40000000000000002, '
             '"oracle_success": 0.33762193211524721, '
             '"theorem1_slack": 2.494951198902438, "trials": 60, '
             '"algo": 1}, "timings": {}, "version": "0.2.0"}'
@@ -190,7 +207,7 @@ class TestRunReports:
             '"eps": 0.10000000000000001, "graph": "complete:4", '
             '"marked": "0", "mode": "expectation", "seed": 3, '
             '"trace": false, "trials": 60}, "results": {"HT": 6, "T": 6, '
-            '"empirical_success": 0.51666666666666672, '
+            '"empirical_success": 0.33333333333333331, '
             '"oracle_success": 0.43920605786462596, '
             '"theorem1_slack": 0.51617354977779972, "trials": 60, '
             '"algo": 2}, "timings": {}, "version": "0.2.0"}'
@@ -199,15 +216,23 @@ class TestRunReports:
 
     @pytest.mark.parametrize("graph,algo", sorted(WALKS_GOLDEN))
     def test_walks_search_golden(self, graph, algo):
-        rep = run(parse_config("walks-search",
-                               {"graph": graph, "marked": "0", "algo": algo,
-                                "seed": "3", "trials": "60"}))
-        got = json.loads(_without_version(rep.canonical_json()))
-        want = json.loads(_without_version(self.WALKS_GOLDEN[(graph, algo)]))
-        for key in ("oracle_success", "theorem1_slack"):
-            assert abs(got["results"].pop(key) - want["results"].pop(key)) \
-                <= 1e-14
-        assert got == want
+        rep = run(parse_config("walks-search", walks_golden_flags(graph, algo)))
+        assert_walks_golden(rep.canonical_json(),
+                            self.WALKS_GOLDEN[(graph, algo)])
+
+    def test_walks_search_op_solves_hitting_time_three_times(self,
+                                                             monkeypatch):
+        # one schedule each for the trials, the oracle and the slack
+        calls, solve = [], walks.hitting_time
+
+        def counted(c, marked):
+            calls.append(1)
+            return solve(c, marked)
+
+        monkeypatch.setattr(walks, "hitting_time", counted)
+        run(parse_config("walks-search", {"graph": "cycle:8", "marked": "0",
+                                          "trials": "50"}))
+        assert len(calls) == 3
 
     def test_walks_search_at_node_cap(self):
         # 60 trials: Hoeffding at delta = 1e-6 bounds |empirical - oracle|
@@ -590,13 +615,20 @@ class TestReportGolden:
                "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        walks_golden = TestRunReports.WALKS_GOLDEN
         cases = [(sub, flags) for sub, flags, _ in REPORT_GOLDEN.values()]
+        cases += [("walks-search", walks_golden_flags(graph, algo))
+                  for graph, algo in walks_golden]
         out = subprocess.run([sys.executable, "-c", script],
                              input=json.dumps(cases), env=env, text=True,
                              capture_output=True, check=True, timeout=60)
-        for (_, _, expected), got in zip(REPORT_GOLDEN.values(),
-                                         out.stdout.splitlines(), strict=True):
+        lines = out.stdout.splitlines()
+        assert len(lines) == len(REPORT_GOLDEN) + len(walks_golden)
+        for (_, _, expected), got in zip(REPORT_GOLDEN.values(), lines):
             assert _without_version(got) == _without_version(expected)
+        for expected, got in zip(walks_golden.values(),
+                                 lines[len(REPORT_GOLDEN):]):
+            assert_walks_golden(got, expected)
 
     def test_qls_trace_head(self):
         from lculab.harness import run_with_records

@@ -36,6 +36,7 @@ from walk_oracle import (
     exact_search_success,
     exp_ham_enumeration,
     exp_ham_l1,
+    inverse_cdf,
     node_marginal,
     pow_ham_enumeration,
     stepped_search_trials,
@@ -336,12 +337,25 @@ class TestPolynomialMixtures:
 
 class TestSearch:
     def test_all_marked_trivial(self):
+        # the pre-measurement ends every trial, so none reads the all-zero
+        # node marginals of sqrt(pi_U) = 0
         c = cycle_chain(4)
         cfg = SearchConfig(master_seed=0)
         for i in range(20):
             out = run_search_trials(c, set(range(4)),
-                                    SearchConfig(master_seed=i), 1, 1)[0]
-            assert out.found and out.walk_steps_applied == 0
+                                    SearchConfig(master_seed=i), 1, 1)
+            assert out.found[0] and out.steps[0] == 0
+
+    def test_all_marked_never_walks_at_top_uniform(self, monkeypatch):
+        # on cycle:5 pi_M rounds to 1 - 2^-53, the largest counter uniform
+        c = cycle_chain(5)
+        assert walks._SearchSchedule(c, set(range(5)), SearchConfig(),
+                                     1).pi_m == 1 - 2.0 ** -53
+        monkeypatch.setattr(walks, "counter_uniforms",
+                            lambda key, start, count:
+                            np.full(count, 1 - 2.0 ** -53))
+        out = run_search_trials(c, set(range(5)), SearchConfig(), 3, 1)
+        assert out.found.all() and not out.steps.any()
 
     def test_empty_marked_rejected(self):
         with pytest.raises(ValueError):
@@ -355,9 +369,24 @@ class TestSearch:
         pred = predicted_search_success(c, marked, cfg, algo)
         n = 1000
         outs = run_search_trials(c, marked, cfg, n, algo)
-        emp = sum(o.found for o in outs) / n
+        emp = np.count_nonzero(outs.found) / n
         sigma = math.sqrt(pred * (1 - pred) / n)
         assert abs(emp - pred) <= 4 * max(sigma, 1e-3)
+
+    @pytest.mark.parametrize("algo", [1, 2])
+    @pytest.mark.parametrize("graph", ["cycle:16", "complete:16"])
+    def test_seed_population_within_binomial_slack(self, graph, algo):
+        kind, n = graph.split(":")
+        c = (cycle_chain if kind == "cycle" else complete_chain)(int(n))
+        trials, total = 2000, 0
+        pred = predicted_search_success(c, {0}, SearchConfig(), algo)
+        sigma = math.sqrt(pred * (1 - pred) / trials)
+        for seed in range(8):
+            found = run_search_trials(c, {0}, SearchConfig(master_seed=seed),
+                                      trials, algo).found
+            total += np.count_nonzero(found)
+            assert abs(np.count_nonzero(found) / trials - pred) <= 4 * sigma
+        assert abs(total / (8 * trials) - pred) <= 4 * sigma / math.sqrt(8)
 
     @pytest.mark.parametrize("algo", [1, 2])
     def test_theorem1_slack_nonnegative_c8(self, algo):
@@ -372,12 +401,38 @@ class TestSearch:
         assert p_pow > 0 and p_exp > 0
         assert abs(p_pow - p_exp) <= 0.05
 
-    def test_search_outcome_fields(self):
+    def test_search_trial_fields(self):
         out = run_search_trials(cycle_chain(4), {1},
-                                SearchConfig(master_seed=5), 1, 2)[0]
-        assert out.node in range(4)
-        assert 0 <= out.s_used < 1
-        assert out.t_used >= 0
+                                SearchConfig(master_seed=5), 50, 2)
+        for column in (out.found, out.node, out.s, out.t, out.steps):
+            assert column.shape == (50,) and not column.flags.writeable
+        assert np.all((0 <= out.node) & (out.node < 4))
+        assert np.all((0 <= out.s) & (out.s < 1))
+        assert np.all((0 <= out.t) & (out.t <= out.big_t))
+        assert np.array_equal(out.found, out.node == 1)
+        sch = walks._SearchSchedule(cycle_chain(4), {1}, SearchConfig(), 2)
+        assert (out.ht, out.big_t) == (sch.ht, sch.big_t)
+
+    @pytest.mark.parametrize("algo", [1, 2])
+    def test_first_trials_are_a_shorter_run(self, algo):
+        c, cfg = cycle_chain(10), SearchConfig(master_seed=9)
+        long = run_search_trials(c, {0, 4}, cfg, 500, algo)
+        for k in (1, 37, 499):
+            short = run_search_trials(c, {0, 4}, cfg, k, algo)
+            for field in ("found", "node", "s", "t", "steps"):
+                assert np.array_equal(getattr(long, field)[:k],
+                                      getattr(short, field)), (k, field)
+
+    def test_poisson_draws_match_full_support_inversion(self):
+        # cycle:64, algo 2: d = 10,248 weights, of which the table's rows
+        # keep 3,049; the draw must equal inversion over all d + 1
+        sch = walks._SearchSchedule(cycle_chain(64), {0}, SearchConfig(), 2)
+        t = np.arange(int(sch.big_t) + 1)
+        u = np.random.default_rng(3).random(len(t))
+        u[::50] = 0.0
+        got = walks._poisson_draws(sch, t, u)
+        assert got.tolist() == [inverse_cdf(_poisson(tv, sch.d), uv)
+                                for tv, uv in zip(t.tolist(), u)]
 
     @pytest.mark.parametrize("algo", [1, 2])
     def test_trials_solve_hitting_time_once(self, monkeypatch, algo):
@@ -389,7 +444,7 @@ class TestSearch:
 
         monkeypatch.setattr(walks, "hitting_time", counted)
         outs = run_search_trials(cycle_chain(6), {0}, SearchConfig(), 185, algo)
-        assert len(outs) == 185
+        assert len(outs.found) == 185
         assert len(calls) == 1
 
     @settings(max_examples=8, deadline=None)
@@ -420,8 +475,10 @@ class TestScheduleTables:
         chain, marked = SEARCH_CASES[case]
         cfg = SearchConfig(master_seed=17)
         got = run_search_trials(chain(), marked, cfg, 400, algo)
-        assert got == stepped_search_trials(chain(), marked, cfg, 400, algo)
-        assert any(o.walk_steps_applied > 0 for o in got)
+        want = stepped_search_trials(chain(), marked, cfg, 400, algo)
+        for field in ("found", "node", "s", "t", "steps", "ht", "big_t"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert np.any(got.steps > 0)
 
     @pytest.mark.parametrize("algo", [1, 2])
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))

@@ -9,8 +9,9 @@ the reflection about |0> in the first register.  The edge space is ordered
 
 The state-level references keep every walk power as an edge state: the
 branch enumerations of the walk-power mixtures, the oracle and slack summed
-over those branches, and the per-trial step path, which measures the node
-register of the edge state each trial steps to.  The search schedule's
+over those branches, and the per-trial step path, which reads the same
+per-role counter-hash uniforms as `walks.run_search_trials` and measures
+the node register of the edge state each trial steps to.  The search schedule's
 Chebyshev and node-marginal tables replace them in `lculab.walks`.
 """
 
@@ -19,11 +20,11 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from lculab._kernels import make_rng
+from lculab._kernels import counter_uniforms, derive_key
 from lculab.core_algebra import DenseOperator, StateVector
 from lculab.walks import (
     InterpolatedChain,
-    SearchOutcome,
+    SearchTrials,
     WalkOperator,
     _pi_states,
     _poisson,
@@ -222,37 +223,45 @@ def _power_cache(sch: _SearchSchedule, s: float) -> PowerCache:
     return PowerCache(w, edge_zero_state(sch.sqrt_pi_u))
 
 
+def inverse_cdf(weights, u: float) -> int:
+    """The first index whose running sum of weights exceeds u times their
+    total: one draw, by a linear scan."""
+    cum = np.cumsum(weights)
+    return int(np.flatnonzero(cum > u * cum[-1])[0])
+
+
 def stepped_search_trials(c, marked, config, n_trials: int, algo: int):
-    """`walks.run_search_trials` by the per-trial step path: each trial
-    steps the walk at its interpolation value to the sampled power and
-    measures the node register of that edge state."""
-    rng = make_rng(config.master_seed, 40 + algo)
+    """`walks.run_search_trials` by the per-trial step path, on the same
+    per-role counter-hash uniforms.  Trial i draws x from the full-support
+    Poisson(t) weights (algo 2) and its power from the Chebyshev
+    coefficients of the monomial of degree x, steps the walk at its
+    interpolation value to that power and measures the node register of
+    that edge state."""
+    u_t, u_r, u_pre, u_mark, u_x, u_e, u_node = (
+        counter_uniforms(derive_key(config.master_seed, 40 + algo, role),
+                         0, n_trials) for role in range(7))
     sch = _SearchSchedule(c, marked, config, algo)
     degree = sch.d if algo == 1 else sch.dprime
+    n = sch.chain.n
     caches, out = {}, []
-    for _ in range(n_trials):
-        t = int(rng.integers(0, int(sch.big_t) + 1))
-        r = int(sch.r_set[rng.integers(0, len(sch.r_set))])
-        s = 1.0 - 1.0 / r
-        if rng.random() < sch.pi_m:
-            probs = np.array([sch.chain.pi[m] for m in sch.marked_idx]) / sch.pi_m
-            node = int(rng.choice(sch.marked_idx, p=probs))
-            out.append(SearchOutcome(True, node, s, t, 0))
+    for i in range(n_trials):
+        t = int(u_t[i] * (int(sch.big_t) + 1))
+        s = 1.0 - 1.0 / sch.r_set[int(u_r[i] * len(sch.r_set))]
+        if u_pre[i] < sch.pi_m:
+            probs = [sch.chain.pi[m] for m in sch.marked_idx]
+            out.append((True, sch.marked_idx[inverse_cdf(probs, u_mark[i])],
+                        s, t, 0))
             continue
         if s not in caches:
             caches[s] = _power_cache(sch, s)
-        if algo == 1:
-            x = t
-        else:
-            x = int(rng.choice(np.arange(sch.d + 1), p=_poisson(t, sch.d)))
+        x = t if algo == 1 else inverse_cdf(_poisson(t, sch.d), u_x[i])
         exps, probs = power_support(x, degree)
-        steps = int(rng.choice(exps, p=probs))
-        n = sch.chain.n
+        steps = int(exps[inverse_cdf(probs, u_e[i])])
         state = StateVector(caches[s].state(steps).ravel())
-        node_probs = np.maximum(node_marginal(state, n), 0)
-        node = int(rng.choice(n, p=node_probs / node_probs.sum()))
-        out.append(SearchOutcome(node in sch.marked, node, s, t, steps))
-    return out
+        node = inverse_cdf(np.maximum(node_marginal(state, n), 0), u_node[i])
+        out.append((node in sch.marked, node, s, t, steps))
+    found, node, s, t, steps = map(np.array, zip(*out))
+    return SearchTrials(found, node, s, t, steps, sch.ht, sch.big_t)
 
 
 def enumerated_search_success(c, marked, config, algo: int) -> float:

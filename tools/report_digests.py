@@ -1,7 +1,7 @@
 """Print one digest line per benchmark op, so that two trees can be compared
 for bit-identical reports and traces:
 
-    python3 tools/report_digests.py sample-fast sample-general build > a.txt
+    python3 tools/report_digests.py sample-fast sample-general build walks-search > a.txt
 
 Run it from the root of each tree and `diff` the outputs.  Each line holds
 the op key, the sha256 of the report's `canonical_json()` and the sha256 of

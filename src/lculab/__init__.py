@@ -1,3 +1,3 @@
 """Desk-scale numerical laboratory for randomized LCU algorithms."""
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"

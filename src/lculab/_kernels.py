@@ -71,10 +71,11 @@ def pair_accumulate(u: np.ndarray, ou: np.ndarray, probs: np.ndarray,
     ValueError.  `sink(start, j1, j2, values)` sees every chunk's draws and
     the values that enter the sums.
 
-    Values come from `_gram` when M^2 <= min(total, CHUNK), else from
-    gathered rows.  Chunked so memory stays flat; the chunk boundaries
-    never change the draw at index i, so any chunk size gives the same
-    sample set.
+    Values come from `_gram` when M^2 <= min(total, CHUNK), else from rows
+    gathered by `take(axis=0)`, which copies each row as one block (`u[j]`
+    runs each row through NumPy's subspace iterator: the same bytes, about
+    4x slower at large M).  Chunks keep memory flat and never change the
+    draw at index i, so any chunk size gives the same sample set.
     """
     if table is None:
         table = GuideTable(probs)
@@ -90,9 +91,9 @@ def pair_accumulate(u: np.ndarray, ou: np.ndarray, probs: np.ndarray,
         if gram is not None:
             vals = gram.take(j1 * len(u) + j2)
         else:
-            rows2 = u[j2]
+            rows2 = u.take(j2, axis=0)
             np.conj(rows2, out=rows2)
-            vals = np.einsum("id,id->i", ou[j1], rows2).real
+            vals = np.einsum("id,id->i", ou.take(j1, axis=0), rows2).real
         if shot is not None:
             vals = _shots(vals, shot, start)
         if sink is not None:
@@ -113,14 +114,14 @@ def pair_accumulate(u: np.ndarray, ou: np.ndarray, probs: np.ndarray,
 
 def _gram(u: np.ndarray, ou: np.ndarray, draws: int) -> np.ndarray | None:
     """The value of every pair, Re<u[j2], ou[j1]> at j1 * M + j2, when
-    M^2 <= draws, else None.  It goes through the einsum of the row
-    gathers, so each value has the bits a gathered pair gets."""
+    M^2 <= draws, else None.  The rows are gathered by `take` and summed by
+    the einsum of the large-M path, so each value has that path's bits."""
     m = len(u)
     if m * m > draws:
         return None
-    rows = np.arange(m)
+    j1, j2 = np.divmod(np.arange(m * m), m)
     return np.ascontiguousarray(np.einsum(
-        "id,id->i", ou[rows.repeat(m)], np.conj(u[np.tile(rows, m)])).real)
+        "id,id->i", ou.take(j1, axis=0), np.conj(u.take(j2, axis=0))).real)
 
 
 def _shots(e: np.ndarray, shot: tuple[int, float], start: int) -> np.ndarray:
@@ -186,7 +187,7 @@ class GuideTable:
         """The term index of each uniform u in [0, 1)."""
         cum = self.cum
         last = len(cum) - 1
-        j = self.start[(u * len(self.start)).astype(np.intp)].astype(np.intp)
+        j = self.start.take((u * len(self.start)).astype(np.intp)).astype(np.intp)
         r = np.flatnonzero(j < 0)
         if r.size:
             # cum[~j] is the bucket's first CDF value: step past it, and

@@ -219,11 +219,11 @@ def _r_grid(big_t: float) -> list[int]:
 
 
 def _pi_states(c: MarkovChain, marked: frozenset):
-    """(pi_M, sqrt(pi_U)): the marked stationary mass and the square root of
-    the stationary distribution restricted to unmarked nodes."""
+    """(pi_M, sqrt(pi_U)): the marked stationary mass, 1.0 when every node is
+    marked, and the square root of pi restricted to unmarked nodes."""
     pi = c.pi
-    pi_m = sum(pi[m] for m in marked)
     unmarked_mask = np.array([x not in marked for x in range(c.n)])
+    pi_m = sum(pi[m] for m in sorted(marked)) if unmarked_mask.any() else 1.0
     pu = pi * unmarked_mask
     sqrt_pi_u = np.sqrt(pu / pu.sum()) if pu.sum() > 0 else np.zeros(c.n)
     return pi_m, sqrt_pi_u
@@ -392,8 +392,7 @@ def run_search_trials(c: MarkovChain, marked, config: SearchConfig,
     t = (u_t * (int(sch.big_t) + 1)).astype(np.intp)
     r_at = (u_r * len(sch.r_set)).astype(np.intp)
     # step 5: measure the node register of |0>|sqrt(pi)> against Pi_M; a
-    # trial that finds the marked set draws its node by pi and stops.  With
-    # every node marked, pi_M may round below 1, but no trial walks.
+    # trial that finds the marked set draws its node by pi and stops.
     marked_idx = np.array(sch.marked_idx)
     cum = np.cumsum(sch.chain.pi[marked_idx])
     node = marked_idx[np.searchsorted(cum, u_mark * cum[-1], side="right")]

@@ -35,6 +35,11 @@ def reference_draws(probs, key1, key2, start, count):
             inverse_cdf(cum, counter_uniforms(key2, start, count)))
 
 
+def reference_values(u, ou, j1, j2):
+    """Re<u[j2], ou[j1]> from rows gathered by 2-D fancy indexing."""
+    return np.einsum("id,id->i", ou[j1], np.conj(u[j2])).real
+
+
 def reference_pair_accumulate(u, ou, probs, key1, key2, total, shot=None,
                               sink=None):
     """The pair kernel with every value taken from gathered rows and every
@@ -44,7 +49,7 @@ def reference_pair_accumulate(u, ou, probs, key1, key2, total, shot=None,
     while start < total:
         count = min(_kernels.CHUNK, total - start)
         j1, j2 = reference_draws(probs, key1, key2, start, count)
-        vals = np.einsum("id,id->i", ou[j1], np.conj(u[j2])).real
+        vals = reference_values(u, ou, j1, j2)
         if shot is not None:
             key, scale = shot
             us = counter_uniforms(key, start, count)

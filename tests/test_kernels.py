@@ -11,6 +11,7 @@ from kernel_oracle import (
     inverse_cdf,
     reference_draws,
     reference_pair_accumulate,
+    reference_values,
 )
 from lculab import _kernels, applications, estimator
 from lculab._kernels import (
@@ -278,23 +279,20 @@ class TestGramPath:
         probs = rng.random(m) ** 2
         return u, probs / probs.sum()
 
-    @pytest.mark.parametrize("phase", ["numerator", "normalization", "shot"])
-    @pytest.mark.parametrize("m,total", [(20, 399), (20, 400), (20, 5000),
-                                         (1100, 3000)])
-    def test_values_and_sums_equal_the_gathers(self, phase, m, total):
-        # M^2 <= total reads the Gram table, M^2 > total gathers rows
-        u, probs = self._case(m)
+    @staticmethod
+    def _observable(phase, dim):
         if phase == "numerator":
-            o = np.random.default_rng(8).standard_normal((4, 4))
-            o = (o + o.T) / 2
-        elif phase == "normalization":
-            o = np.eye(4)
-        else:
-            o = np.diag([1.0, -1.0, -1.0, 1.0])
-        ou = u @ o.T
-        shot = (derive_key(9, 0, 0, 3), 1.0) if phase == "shot" else None
+            o = np.random.default_rng(8).standard_normal((dim, dim))
+            return (o + o.T) / 2
+        if phase == "normalization":
+            return np.eye(dim)
+        return np.diag(np.resize([1.0, -1.0, -1.0, 1.0], dim))
+
+    @staticmethod
+    def _assert_same_run(u, ou, probs, total, shot=None):
+        # values, ids and sums of the kernel and the fancy-index reference
+        # are equal bit for bit, chunk by chunk
         k1, k2 = derive_key(9, 0, 0, 1), derive_key(9, 0, 0, 2)
-        assert (_kernels._gram(u, ou, total) is not None) == (m * m <= total)
         got, want = [], []
         sums = pair_accumulate(u, ou, probs, k1, k2, total, shot=shot,
                                sink=lambda *c: got.append(c))
@@ -307,6 +305,41 @@ class TestGramPath:
             assert s0 == r0
             assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
             assert av.tobytes() == np.ascontiguousarray(bv).tobytes()
+        return got
+
+    @pytest.mark.parametrize("phase", ["numerator", "normalization", "shot"])
+    @pytest.mark.parametrize("m,total,dim", [
+        pytest.param(m, total, dim,
+                     id=f"{m}-{total}" + (f"-dim{dim}" if dim != 4 else ""))
+        for dim in (4, 2, 8)
+        for m, total in [(20, 399), (20, 400), (20, 5000), (1100, 3000)]])
+    def test_values_and_sums_equal_the_gathers(self, phase, m, total, dim):
+        # M^2 <= total reads the Gram table, M^2 > total gathers rows
+        u, probs = self._case(m, dim)
+        ou = u @ self._observable(phase, dim).T
+        shot = (derive_key(9, 0, 0, 3), 1.0) if phase == "shot" else None
+        assert (_kernels._gram(u, ou, total) is not None) == (m * m <= total)
+        self._assert_same_run(u, ou, probs, total, shot)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_gathers_over_several_chunks(self, dim, monkeypatch):
+        # the take gathers, chunk after chunk, against the fancy-index
+        # reference; M^2 > CHUNK keeps every chunk off the Gram table
+        monkeypatch.setattr(_kernels, "CHUNK", 777)
+        u, probs = self._case(1100, dim, seed=12)
+        ou = u @ self._observable("numerator", dim).T
+        assert _kernels._gram(u, ou, _kernels.CHUNK) is None
+        got = self._assert_same_run(u, ou, probs, 5000)
+        assert [c[0] for c in got] == list(range(0, 5000, 777))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("m", [1, 7, 60])
+    def test_gram_table_is_the_einsum_of_every_pair(self, m, dim):
+        u, _ = self._case(m, dim, seed=13)
+        ou = u @ self._observable("numerator", dim).T
+        j1, j2 = np.arange(m).repeat(m), np.tile(np.arange(m), m)
+        want = np.ascontiguousarray(reference_values(u, ou, j1, j2))
+        assert _kernels._gram(u, ou, m * m).tobytes() == want.tobytes()
 
     def test_gram_bound_follows_the_chunk(self, monkeypatch):
         # the bound is min(total, CHUNK): a smaller chunk sends M = 20 back

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lculab import walks
 from lculab.core_algebra import DenseOperator, StateVector
+from lculab.harness import parse_config, run
 from lculab.walks import (
     InterpolatedChain,
     MarkovChain,
@@ -347,15 +348,26 @@ class TestSearch:
             assert out.found[0] and out.steps[0] == 0
 
     def test_all_marked_never_walks_at_top_uniform(self, monkeypatch):
-        # on cycle:5 pi_M rounds to 1 - 2^-53, the largest counter uniform
+        # on cycle:5 the sum of pi rounds to 1 - 2^-53, the largest counter
+        # uniform; pi_M is 1 exactly when every node is marked
         c = cycle_chain(5)
         assert walks._SearchSchedule(c, set(range(5)), SearchConfig(),
-                                     1).pi_m == 1 - 2.0 ** -53
+                                     1).pi_m == 1.0
         monkeypatch.setattr(walks, "counter_uniforms",
                             lambda key, start, count:
                             np.full(count, 1 - 2.0 ** -53))
         out = run_search_trials(c, set(range(5)), SearchConfig(), 3, 1)
         assert out.found.all() and not out.steps.any()
+
+    @pytest.mark.parametrize("kind", ["cycle", "complete"])
+    def test_all_marked_oracle_success_is_one(self, kind):
+        # a search with every node marked cannot fail; before pi_M was set
+        # to 1, 45 of these 126 graphs reported 1 - (1.1 to 3.3) 10^-16
+        for n in range(2, 65):
+            flags = {"graph": f"{kind}:{n}", "trials": "1",
+                     "marked": ",".join(map(str, range(n)))}
+            report = run(parse_config("walks-search", flags))
+            assert report.results["oracle_success"] == 1.0, n
 
     def test_empty_marked_rejected(self):
         with pytest.raises(ValueError):
